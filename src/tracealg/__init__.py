@@ -2,6 +2,7 @@
 
 Subpackages:
 
+* sparse     -- the sparse exact-arithmetic kernel shared by TracePoly and MPoly
 * freetrace  -- the free algebra with trace: words, cyclic trace symbols,
   normal-form polynomials, rendering and parsing
 * chident    -- characteristic coefficients, the degree-n trace identity and

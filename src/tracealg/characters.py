@@ -143,7 +143,9 @@ def linear_characters_abelian(g: FiniteGroup, m: int):
             chars.append(vals)
     # distinct homomorphisms of an abelian group number exactly |G|
     uniq = sorted(set(chars), key=lambda c: [x.coeffs for x in c])
-    assert len(uniq) == g.order
+    if len(uniq) != g.order:
+        raise AssertionError(
+            f"found {len(uniq)} linear characters of an abelian group of order {g.order}")
     return uniq
 
 

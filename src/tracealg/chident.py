@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .freetrace import TracePoly, least_rotation
+from .freetrace import TracePoly
 from .mpoly import MPoly
 
 
@@ -36,10 +36,11 @@ def elementary_from_powersums(k: int) -> MPoly:
     if k == 1:
         return _psi(1)
     m = k - 1
-    acc = Fraction((-1) ** m) * _psi(m + 1)
+    terms = dict((Fraction((-1) ** m, m + 1) * _psi(m + 1)).terms)
     for i in range(1, m + 1):
-        acc = acc + Fraction((-1) ** (i - 1)) * _psi(i) * elementary_from_powersums(m + 1 - i)
-    return Fraction(1, m + 1) * acc
+        MPoly.add_product(terms, _psi(i), elementary_from_powersums(m + 1 - i),
+                          Fraction((-1) ** (i - 1), m + 1))
+    return MPoly(terms)
 
 
 @lru_cache(maxsize=None)
@@ -50,18 +51,19 @@ def powersums_from_elementary(k: int) -> MPoly:
     if k == 1:
         return _e(1)
     m = k - 1
-    acc = Fraction(m + 1) * _e(m + 1)
+    terms = dict(((-1) ** m * (m + 1) * _e(m + 1)).terms)
     for i in range(1, m + 1):
-        acc = acc - Fraction((-1) ** (i - 1)) * powersums_from_elementary(i) * _e(m + 1 - i)
-    return Fraction((-1) ** m) * acc
+        MPoly.add_product(terms, powersums_from_elementary(i), _e(m + 1 - i),
+                          (-1) ** (m + i))
+    return MPoly(terms)
 
 
-def _psi_monomial_to_traces(mono, coeff) -> TracePoly:
+def _psi_monomial_to_traces(mono) -> TracePoly:
     traces = []
     for name, exp in mono:
         j = int(name[3:])
         traces.extend([(1,) * j] * exp)
-    return TracePoly({((), tuple(sorted(traces, key=lambda t: (len(t), t)))): coeff})
+    return TracePoly.monomial((), traces)
 
 
 @lru_cache(maxsize=None)
@@ -70,10 +72,7 @@ def sigma(i: int) -> TracePoly:
     if i <= 0:
         raise ValueError("i must be a positive integer")
     ek = elementary_from_powersums(i)
-    out = TracePoly.zero()
-    for mono, c in ek.terms.items():
-        out = out + _psi_monomial_to_traces(mono, c)
-    return out
+    return TracePoly.sum((c, _psi_monomial_to_traces(mono)) for mono, c in ek.terms.items())
 
 
 @lru_cache(maxsize=None)
@@ -82,10 +81,10 @@ def ch_poly(n: int) -> TracePoly:
     if n <= 0:
         raise ValueError("n must be a positive integer")
     xw = TracePoly.variable(1)
-    out = xw ** n
+    terms = dict((xw ** n).terms)
     for i in range(1, n + 1):
-        out = out + Fraction((-1) ** i) * sigma(i) * xw ** (n - i)
-    return out
+        TracePoly.add_product(terms, sigma(i), xw ** (n - i), (-1) ** i)
+    return TracePoly(terms)
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,8 @@ def t_sigma(perm: PermCycles, variables=None) -> TracePoly:
         variables = list(range(1, perm.size + 1))
     if len(variables) != perm.size:
         raise ValueError("variable list must match permutation size")
-    out = TracePoly.one()
-    for cyc in perm.cycles:
-        word = tuple(variables[i - 1] for i in cyc)
-        out = out * TracePoly.trace_symbol(word)
-    return out
+    return TracePoly.monomial(
+        (), [tuple(variables[i - 1] for i in cyc) for cyc in perm.cycles])
 
 
 @lru_cache(maxsize=None)
@@ -141,11 +137,8 @@ def t_multilinear(k: int) -> TracePoly:
     """T_k(x_1..x_k) = sum over S_k of sign(sigma) T_sigma."""
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    out = TracePoly.zero()
-    for images in permutations(range(1, k + 1)):
-        perm = PermCycles.from_one_line(images)
-        out = out + Fraction(perm.sign) * t_sigma(perm)
-    return out
+    perms = (PermCycles.from_one_line(images) for images in permutations(range(1, k + 1)))
+    return TracePoly.sum((perm.sign, t_sigma(perm)) for perm in perms)
 
 
 def _psi_sigma_term(perm: PermCycles, n: int) -> TracePoly:
@@ -159,11 +152,10 @@ def _psi_sigma_term(perm: PermCycles, n: int) -> TracePoly:
     for cyc in perm.cycles:
         if n + 1 in cyc:
             pos = cyc.index(n + 1)
-            rotated = cyc[pos + 1:] + cyc[:pos]
-            word = rotated
+            word = cyc[pos + 1:] + cyc[:pos]
         else:
-            traces.append(least_rotation(cyc))
-    return TracePoly({(word, tuple(sorted(traces, key=lambda t: (len(t), t)))): Fraction(1)})
+            traces.append(cyc)
+    return TracePoly.monomial(word, traces)
 
 
 @lru_cache(maxsize=None)
@@ -171,18 +163,17 @@ def ch_multilinear(n: int) -> TracePoly:
     """The multilinear Cayley-Hamilton polynomial CH(x_1..x_n)."""
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    out = TracePoly.zero()
-    for images in permutations(range(1, n + 2)):
-        perm = PermCycles.from_one_line(images)
-        out = out + Fraction(perm.sign) * _psi_sigma_term(perm, n)
-    return Fraction((-1) ** n) * out
+    perms = (PermCycles.from_one_line(images) for images in permutations(range(1, n + 2)))
+    return TracePoly.sum(((-1) ** n * perm.sign, _psi_sigma_term(perm, n)) for perm in perms)
 
 
 def polarize(p: TracePoly, variable: int = 1) -> TracePoly:
     """Full polarization of a homogeneous one-variable polynomial.
 
-    Substitutes x -> x_1 + ... + x_k (k the homogeneous degree) and keeps the
-    multilinear component; restitution then recovers k! times the input.
+    The multilinear component of p(x_1 + ... + x_k), k the homogeneous
+    degree: each term contributes one monomial per bijection between its k
+    letter occurrences and x_1..x_k.  Restitution then recovers k! times the
+    input.
     """
     vars_used = p.variables()
     if vars_used - {variable}:
@@ -193,11 +184,21 @@ def polarize(p: TracePoly, variable: int = 1) -> TracePoly:
     k = degrees.pop()
     if k == 0:
         raise ValueError("cannot polarize a constant")
-    total = TracePoly.zero()
-    for i in range(1, k + 1):
-        total = total + TracePoly.variable(i)
-    expanded = p.substitute({variable: total})
-    return expanded.multilinear_part(list(range(1, k + 1)))
+    return TracePoly.sum((c, monomial)
+                         for (w, traces), c in p.terms.items()
+                         for monomial in _relabelings(w, traces, k))
+
+
+def _relabelings(w, traces, k: int):
+    """The term w * prod tr(t) with its k letter occurrences relabeled by
+    each permutation of x_1..x_k, in reading order."""
+    for images in permutations(range(1, k + 1)):
+        pos = len(w)
+        trace_words = []
+        for t in traces:
+            trace_words.append(images[pos:pos + len(t)])
+            pos += len(t)
+        yield TracePoly.monomial(images[:len(w)], trace_words)
 
 
 def restitute(p: TracePoly, variable: int = 1) -> TracePoly:

@@ -48,7 +48,7 @@ def polarize(expr):
         p = parse_trace_poly(expr)
         result = chident.polarize(p)
     except ValueError as exc:
-        _fail_usage(str(exc))
+        _fail_usage(f"--expr: {exc}")
     click.echo(result.render())
 
 
@@ -75,7 +75,7 @@ def verify(poly, size, trials, seed):
     try:
         p = _builtin_poly(poly)
     except ValueError as exc:
-        _fail_usage(str(exc))
+        _fail_usage(f"--poly: {exc}")
     if size < 1:
         _fail_usage("--size must be >= 1")
     witness = None
@@ -179,10 +179,7 @@ def pseudochar_cmd():
 @click.option("--group", "group_path", required=True, type=click.Path(exists=True))
 @click.option("--char", "char_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--parallel", "workers", type=int, default=0,
-              help="Thread count for the tuple scan; the result does not "
-                   "depend on it.")
-def check(group_path, char_path, seed, workers):
+def check(group_path, char_path, seed):
     """Check the degree-n axioms; exit 1 with a witness on failure."""
     try:
         with open(group_path) as fh:
@@ -191,7 +188,7 @@ def check(group_path, char_path, seed, workers):
             table = jsonio.load_pseudochar(fh, group)
     except (OSError, jsonio.InputFormatError, GroupValidationError) as exc:
         _fail_usage(str(exc))
-    report = check_pseudocharacter(table, seed=seed, workers=workers)
+    report = check_pseudocharacter(table, seed=seed)
     mode = "exhaustive" if report.exhaustive else "sampled (non-exhaustive)"
     if report.passed:
         click.echo(f"pass: degree-{table.degree} pseudocharacter "

@@ -31,11 +31,13 @@ def _exact_div(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         q, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0
+        if r:
+            raise ArithmeticError("polynomial division is not exact")
         out[i] = q
         for j, c in enumerate(den):
             num[i + j] -= q * c
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise ArithmeticError("polynomial division leaves a remainder")
     return out
 
 

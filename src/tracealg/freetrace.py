@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .sparse import SparsePoly
+
 Word = tuple  # tuple[int, ...] of positive variable indices
 
 
@@ -72,29 +74,23 @@ def _sort_traces(traces) -> tuple:
     return tuple(sorted(traces, key=_trace_key))
 
 
-class TracePoly:
+def _key_mul(k1, k2):
+    (w1, t1), (w2, t2) = k1, k2
+    return (w1 + w2, _sort_traces(t1 + t2))
+
+
+class TracePoly(SparsePoly):
     """Normal-form element of the free trace algebra.
 
     terms maps (word, traces) -> nonzero Fraction, where word is a tuple of
     variable indices and traces is the sorted tuple of canonical cyclic words.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {k: c for k, c in terms.items() if c != 0}
+    __slots__ = ()
+    UNIT_KEY = ((), ())
+    key_mul = staticmethod(_key_mul)
 
     # -- constructors --------------------------------------------------
-    @classmethod
-    def zero(cls) -> "TracePoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "TracePoly":
-        return cls({((), ()): Fraction(1)})
-
     @classmethod
     def scalar(cls, c) -> "TracePoly":
         return cls({((), ()): Fraction(c)})
@@ -106,98 +102,26 @@ class TracePoly:
         return cls({((i,), ()): Fraction(1)})
 
     @classmethod
+    def monomial(cls, letters, trace_words=()) -> "TracePoly":
+        """The word ``letters`` times tr(w) for each w in ``trace_words``,
+        each trace word cyclically normalized."""
+        traces = _sort_traces(least_rotation(tuple(t)) for t in trace_words)
+        return cls({(tuple(letters), traces): Fraction(1)})
+
+    @classmethod
     def word(cls, letters) -> "TracePoly":
-        return cls({(tuple(letters), ()): Fraction(1)})
+        return cls.monomial(letters)
 
     @classmethod
     def trace_symbol(cls, letters) -> "TracePoly":
         """The pure trace monomial tr(letters), cyclically normalized."""
-        return cls({((), (least_rotation(tuple(letters)),)): Fraction(1)})
-
-    # -- ring structure --------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, TracePoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TracePoly.scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return TracePoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TracePoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for (w1, t1), c1 in self.terms.items():
-            for (w2, t2), c2 in other.terms.items():
-                key = (w1 + w2, _sort_traces(t1 + t2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return TracePoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = TracePoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return cls.monomial((), (letters,))
 
     # -- trace and substitution -------------------------------------------
     def trace(self) -> "TracePoly":
         """Formal trace: linear, kills the word part into a new trace symbol."""
-        out = {}
-        for (w, traces), c in self.terms.items():
-            key = ((), _sort_traces(traces + (least_rotation(w),)))
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return TracePoly(out)
+        return TracePoly.sum(TracePoly({((), _sort_traces(traces + (least_rotation(w),))): c})
+                             for (w, traces), c in self.terms.items())
 
     def variables(self) -> set:
         out = set()
@@ -216,7 +140,6 @@ class TracePoly:
         missing = sorted(v for v in self.variables() if v not in mapping)
         if missing:
             raise ValueError(f"variable x{missing[0]} is not mapped in substitution")
-        out = TracePoly.zero()
         word_cache = {}
 
         def expand(word):
@@ -228,12 +151,13 @@ class TracePoly:
                 word_cache[word] = got
             return got
 
-        for (w, traces), c in self.terms.items():
-            acc = TracePoly.scalar(c) * expand(w)
+        def image(w, traces):
+            acc = expand(w)
             for t in traces:
                 acc = acc * expand(t).trace()
-            out = out + acc
-        return out
+            return acc
+
+        return TracePoly.sum((c, image(w, traces)) for (w, traces), c in self.terms.items())
 
     # -- term inspection ----------------------------------------------------
     def is_pure_trace(self) -> bool:
@@ -250,21 +174,6 @@ class TracePoly:
     def term_degrees(self):
         """Set of total degrees (word letters plus trace letters) of terms."""
         return {len(w) + sum(len(t) for t in traces) for (w, traces) in self.terms}
-
-    def multilinear_part(self, variables) -> "TracePoly":
-        """Terms in which each listed variable occurs exactly once."""
-        out = {}
-        for (w, traces), c in self.terms.items():
-            counts = {}
-            for letter in w:
-                counts[letter] = counts.get(letter, 0) + 1
-            for t in traces:
-                for letter in t:
-                    counts[letter] = counts.get(letter, 0) + 1
-            if all(counts.get(v, 0) == 1 for v in variables) and \
-                    sum(counts.values()) == len(variables):
-                out[(w, traces)] = c
-        return TracePoly(out)
 
     # -- rendering -----------------------------------------------------------
     def sorted_terms(self):
@@ -398,12 +307,11 @@ class _Parser:
             sign = -1
         elif self.peek() == "+":
             self.take()
-        total = sign * self.term()
+        parts = [(sign, self.term())]
         while self.peek() in ("+", "-"):
             op = self.take()
-            t = self.term()
-            total = total + t if op == "+" else total - t
-        return total
+            parts.append((1 if op == "+" else -1, self.term()))
+        return TracePoly.sum(parts)
 
     def term(self) -> TracePoly:
         out = self.power()
@@ -430,6 +338,8 @@ class _Parser:
                 den = self.take()
                 if not den.isdigit():
                     raise ValueError(f"expected denominator, got {den!r}")
+                if int(den) == 0:
+                    raise ValueError(f"zero denominator in {tok}/{den}")
                 return TracePoly.scalar(Fraction(int(tok), int(den)))
             return TracePoly.scalar(int(tok))
         if tok.startswith("x"):

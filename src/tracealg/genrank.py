@@ -118,7 +118,7 @@ class _RankEngine:
     # -- symbolic values (only used to verify candidate relations) -------------
     def _mul_symbolic(self, x, y):
         d = self.a.dim
-        out = [MPoly.zero()] * d
+        out = [{} for _ in range(d)]
         for i in range(d):
             xi = x[i]
             if xi.is_zero():
@@ -128,10 +128,9 @@ class _RankEngine:
                 yj = y[j]
                 if yj.is_zero():
                     continue
-                prod = xi * yj
                 for k, c in row[j]:
-                    out[k] = out[k] + prod * c
-        return tuple(out)
+                    MPoly.add_product(out[k], xi, yj, c)
+        return tuple(MPoly(t) for t in out)
 
     def symbolic_word(self, w):
         got = self.symbolic_words.get(w)
@@ -145,8 +144,8 @@ class _RankEngine:
         got = self.symbolic_traces.get(cyc)
         if got is None:
             vec = self.symbolic_word(cyc)
-            got = sum((vec[i] * t for i, t in enumerate(self.a.trace_vector)
-                       if t != 0), MPoly.zero())
+            got = MPoly.sum((t, vec[i]) for i, t in enumerate(self.a.trace_vector)
+                            if t != 0)
             self.symbolic_traces[cyc] = got
         return got
 
@@ -275,8 +274,8 @@ class _RankEngine:
     def _verify_relation(self, blocks, vec, unknown_index):
         """Exact check of a sampled candidate; returns its nonzero part or None."""
         d = self.a.dim
-        t0 = MPoly.zero()
-        total = [MPoly.zero()] * d
+        t0 = []
+        total = [{} for _ in range(d)]
         parts = []
         for u, (bi, ti) in enumerate(unknown_index):
             c = vec[u]
@@ -288,15 +287,13 @@ class _RankEngine:
             for cw in multiset:
                 value = value * self.symbolic_trace(cw)
             if bi == 0:
-                t0 = t0 + value
-            wv = self.symbolic_word(word)
-            for coord in range(d):
-                if not wv[coord].is_zero():
-                    total[coord] = total[coord] + Fraction(sign) * value * wv[coord]
+                t0.append(value)
+            for out, entry in zip(total, self.symbolic_word(word)):
+                MPoly.add_product(out, value, entry, sign)
             parts.append((word, sign, multiset, c))
-        if t0.is_zero():
+        if not MPoly.sum(t0):
             return None
-        if all(x.is_zero() for x in total):
+        if not any(total):
             return parts
         return None
 

@@ -31,14 +31,29 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _load(path_or_text, kind: str):
+def _integer(value, where: str, low: int = None, high: int = None) -> int:
+    """An int from JSON (booleans refused), optionally within [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{where}: expected an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value >= high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise InputFormatError(f"{where}: {value} is not {bounds}")
+    return value
+
+
+def _load(path_or_text, kind: str) -> dict:
     try:
         if hasattr(path_or_text, "read"):
-            return json.load(path_or_text)
-        return json.loads(path_or_text)
+            data = json.load(path_or_text)
+        else:
+            data = json.loads(path_or_text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"malformed JSON in {kind}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict):
+        raise InputFormatError(
+            f"{kind}: top level must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def load_algebra(text) -> TraceAlgebra:
@@ -61,11 +76,8 @@ def load_algebra(text) -> TraceAlgebra:
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise InputFormatError(
                         f"algebra.mul[{i}][{j}]: expected [k, coeff] pairs")
-                k, c = pair
-                if not isinstance(k, int) or not 0 <= k < d:
-                    raise InputFormatError(
-                        f"algebra.mul[{i}][{j}]: basis index {k!r} out of range")
-                entries.append((k, parse_rational(c, f"algebra.mul[{i}][{j}]")))
+                k = _integer(pair[0], f"algebra.mul[{i}][{j}]", low=0, high=d)
+                entries.append((k, parse_rational(pair[1], f"algebra.mul[{i}][{j}]")))
             srow.append(entries)
         sparse.append(srow)
     unit = [parse_rational(c, "algebra.unit") for c in data["unit"]]
@@ -75,7 +87,14 @@ def load_algebra(text) -> TraceAlgebra:
     labels = data.get("basis")
     blocks = None
     if "blocks" in data:
-        blocks = [(int(m), tuple(int(i) for i in idxs)) for m, idxs in data["blocks"]]
+        blocks = []
+        for b, block in enumerate(data["blocks"]):
+            where = f"algebra.blocks[{b}]"
+            if not (isinstance(block, list) and len(block) == 2 and isinstance(block[1], list)):
+                raise InputFormatError(f"{where}: expected [m, [basis indices]]")
+            blocks.append((_integer(block[0], f"{where}.m", low=1),
+                           tuple(_integer(i, f"{where}.indices", low=0, high=d)
+                                 for i in block[1])))
     return make_algebra(sparse, unit, trace, labels=labels, blocks=blocks)
 
 
@@ -103,7 +122,13 @@ def load_group(text) -> FiniteGroup:
     table = data["table"]
     if len(table) != order or any(len(row) != order for row in table):
         raise InputFormatError(f"group.table: expected {order}x{order} table")
-    return make_group(table, identity=data.get("identity"))
+    for i, row in enumerate(table):
+        for j, entry in enumerate(row):
+            _integer(entry, f"group.table[{i}][{j}]", low=0, high=order)
+    identity = data.get("identity")
+    if identity is not None:
+        identity = _integer(identity, "group.identity", low=0, high=order)
+    return make_group(table, identity=identity)
 
 
 def dump_group(g: FiniteGroup) -> str:
@@ -120,9 +145,10 @@ def load_pseudochar(text, group: FiniteGroup) -> PseudoCharTable:
     for key in ("n", "values"):
         if key not in data:
             raise InputFormatError(f"pseudocharacter: missing field {key!r}")
+    degree = _integer(data["n"], "pseudocharacter.n", low=0)
     values = [parse_rational(v, f"pseudocharacter.values[{i}]")
               for i, v in enumerate(data["values"])]
     if len(values) != group.order:
         raise InputFormatError(
             f"pseudocharacter.values: expected {group.order} entries, got {len(values)}")
-    return PseudoCharTable(group=group, degree=int(data["n"]), values=tuple(values))
+    return PseudoCharTable(group=group, degree=degree, values=tuple(values))

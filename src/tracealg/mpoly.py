@@ -9,9 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Monomial = tuple  # tuple[tuple[str, int], ...]
+from .sparse import SparsePoly
 
-_ZERO = Fraction(0)
+Monomial = tuple  # tuple[tuple[str, int], ...]
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -25,105 +25,21 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(d.items()))
 
 
-class MPoly:
+class MPoly(SparsePoly):
     """Polynomial in named commuting variables with exact rational coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+    __slots__ = ()
+    UNIT_KEY = ()
+    key_mul = staticmethod(_mono_mul)
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls) -> "MPoly":
-        return cls()
-
-    @classmethod
     def const(cls, c) -> "MPoly":
-        c = Fraction(c)
-        return cls({(): c}) if c else cls()
+        return cls({(): Fraction(c)})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "MPoly":
         return cls({((name, exp),): Fraction(1)})
-
-    # -- ring operations ----------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, MPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, _ZERO) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return MPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                v = out.get(m, _ZERO) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return MPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- queries -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -168,16 +84,16 @@ class MPoly:
 
     def substitute(self, mapping) -> "MPoly":
         """Ring substitution name -> MPoly; unmapped variables stay themselves."""
-        out = MPoly.zero()
-        for m, c in self.terms.items():
+        def image(m, c):
             acc = MPoly.const(c)
             for name, e in m:
                 repl = mapping.get(name)
                 if repl is None:
                     repl = MPoly.var(name)
                 acc = acc * repl ** e
-            out = out + acc
-        return out
+            return acc
+
+        return MPoly.sum(image(m, c) for m, c in self.terms.items())
 
     def primitive(self) -> "MPoly":
         """Divide by the gcd of integer coefficients (sign preserved).
@@ -278,10 +194,14 @@ class PolyMatrix:
             n = self.size
             cols = list(zip(*other.rows))
             out = []
-            for i in range(n):
-                row = self.rows[i]
-                out.append([sum((row[k] * cols[j][k] for k in range(n)), MPoly.zero())
-                            for j in range(n)])
+            for row in self.rows:
+                out_row = []
+                for col in cols:
+                    entry = {}
+                    for a, b in zip(row, col):
+                        MPoly.add_product(entry, a, b)
+                    out_row.append(MPoly(entry))
+                out.append(out_row)
             return PolyMatrix(out)
         return PolyMatrix([[a * other for a in row] for row in self.rows])
 
@@ -301,7 +221,7 @@ class PolyMatrix:
             raise ValueError("size mismatch")
 
     def trace(self) -> MPoly:
-        return sum((self.rows[i][i] for i in range(self.size)), MPoly.zero())
+        return MPoly.sum(self.rows[i][i] for i in range(self.size))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
@@ -335,7 +255,7 @@ def determinant(rows) -> MPoly:
         got = memo.get(key)
         if got is not None:
             return got
-        total = MPoly.zero()
+        total = {}
         sign = 1
         for c in range(n):
             bit = 1 << c
@@ -343,12 +263,10 @@ def determinant(rows) -> MPoly:
                 continue
             entry = rows[row][c]
             if entry.terms:
-                sub = minor(row + 1, colmask & ~bit)
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
+                MPoly.add_product(total, entry, minor(row + 1, colmask & ~bit), sign)
             sign = -sign
-        memo[key] = total
-        return total
+        got = memo[key] = MPoly(total)
+        return got
 
     return minor(0, full)
 

@@ -9,7 +9,6 @@ trace of degree n.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -207,31 +206,19 @@ def multilinear_trace_sum(group: FiniteGroup, values, elements) -> object:
     return total
 
 
-def _scan_multiset_chunk(group, values, n, first):
-    """Scan all multisets beginning with the given least element; returns
-    (least witness or None, tuples scanned)."""
-    count = 0
-    for rest in combinations_with_replacement(range(first, group.order), n):
-        elems = (first,) + rest
-        count += 1
-        if not _is_zero_value(multilinear_trace_sum(group, values, elems)):
-            return elems, count
-    return None, count
-
-
 def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
-                          sample_size: int = 20000, seed: int = 0,
-                          workers: int = 0) -> PseudoCheckReport:
+                          sample_size: int = 20000, seed: int = 0) -> PseudoCheckReport:
     """Verify the three degree-n axioms, reporting first witnesses.
 
     The tuple axiom is checked exhaustively whenever the number of basis
     multisets fits the budget (the sum is symmetric and multilinear, so
-    multisets decide all tuples); larger inputs fall back to a clearly
-    labeled random sample.  With workers >= 2 the exhaustive scan is chunked
-    by least element and run on a thread pool; the chunking fixes the scan
-    order, so the reported witness does not depend on the worker count.
+    multisets decide all tuples), in lexicographic order so that the witness
+    is the least one; larger inputs fall back to a clearly labeled random
+    sample.
     """
     g, n, values = p.group, p.degree, p.values
+    if n < 0:
+        raise ValueError(f"pseudocharacter degree must be >= 0, got {n}")
     report = PseudoCheckReport(passed=False, degree=n,
                                axiom1_ok=True, axiom2_ok=True, axiom3_ok=True)
 
@@ -254,32 +241,16 @@ def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
     if n_multisets > max_exhaustive:
         report.exhaustive = False
         rng = random.Random(seed)
-        for _ in range(sample_size):
-            elems = tuple(sorted(rng.randrange(g.order) for _ in range(n + 1)))
-            report.tuples_checked += 1
-            if not _is_zero_value(multilinear_trace_sum(g, values, elems)):
-                report.axiom3_ok = False
-                report.axiom3_witness = elems
-                break
-    elif workers >= 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda first: _scan_multiset_chunk(g, values, n, first),
-                range(g.order)))
-        for witness, count in results:
-            report.tuples_checked += count
-            if witness is not None:
-                report.axiom3_ok = False
-                report.axiom3_witness = witness
-                break
+        candidates = (tuple(sorted(rng.randrange(g.order) for _ in range(n + 1)))
+                      for _ in range(sample_size))
     else:
-        for first in range(g.order):
-            witness, count = _scan_multiset_chunk(g, values, n, first)
-            report.tuples_checked += count
-            if witness is not None:
-                report.axiom3_ok = False
-                report.axiom3_witness = witness
-                break
+        candidates = combinations_with_replacement(range(g.order), n + 1)
+    for elems in candidates:
+        report.tuples_checked += 1
+        if not _is_zero_value(multilinear_trace_sum(g, values, elems)):
+            report.axiom3_ok = False
+            report.axiom3_witness = elems
+            break
 
     report.passed = report.axiom1_ok and report.axiom2_ok and report.axiom3_ok
     return report

@@ -179,6 +179,42 @@ class TestPseudocharCommand:
         assert result.exit_code == 2
 
 
+C2_GROUP = {"order": 2, "table": [[0, 1], [1, 0]], "identity": 0}
+C2_CHAR = {"n": 2, "values": ["2", "0"]}
+QQ_ALGEBRA = json.loads(dump_algebra(weighted_semisimple([(1, 1), (1, 2)])))
+
+
+def _write(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _pseudochar_argv(group, char):
+    return lambda tmp: ["pseudochar", "check",
+                        "--group", _write(tmp / "g.json", group),
+                        "--char", _write(tmp / "t.json", char)]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (lambda tmp: ["polarize", "--expr", "1/0*x"], "--expr"),
+    (lambda tmp: ["algebra", "weights", "--in",
+                  _write(tmp / "a.json", {**QQ_ALGEBRA, "blocks": [["x", [0]]]})],
+     "algebra.blocks[0].m"),
+    (lambda tmp: ["algebra", "kernel", "--in", _write(tmp / "a.json", 5)], "algebra"),
+    (_pseudochar_argv({**C2_GROUP, "table": [[0, "a"], [1, 0]]}, C2_CHAR),
+     "group.table[0][1]"),
+    (_pseudochar_argv(5, C2_CHAR), "group"),
+    (_pseudochar_argv(C2_GROUP, {**C2_CHAR, "n": "two"}), "pseudocharacter.n"),
+    (_pseudochar_argv(C2_GROUP, {**C2_CHAR, "n": -1}), "pseudocharacter.n"),
+], ids=["zero-denominator", "block-size", "algebra-not-object", "table-entry",
+        "group-not-object", "degree-text", "degree-negative"])
+def test_malformed_input_exits_2_naming_the_field(runner, tmp_path, argv, field):
+    result = runner.invoke(main, argv(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert field in result.output
+
+
 class TestStrataCommand:
     def test_summary(self, runner):
         result = runner.invoke(main, ["strata", "--n", "2", "--ell", "2"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tracealg.freetrace import (CyclicWord, TracePoly, formal_trace,
                                 least_rotation, mul, normalize,
                                 parse_trace_poly, substitute, x)
+from tracealg.mpoly import MPoly
 
 
 def brute_least_rotation(w):
@@ -166,3 +167,75 @@ class TestRendering:
     def test_bare_x_parses_as_x1(self):
         assert parse_trace_poly("x^2 - tr(x)*x") == \
             TracePoly.word([1, 1]) - formal_trace(x(1)) * x(1)
+
+
+# -- the shared sparse kernel (sparse.SparsePoly) ----------------------------------
+
+@st.composite
+def mpolys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        exps = draw(st.dictionaries(st.sampled_from("abc"), st.integers(1, 2), max_size=2))
+        terms[tuple(sorted(exps.items()))] = draw(small_rational)
+    return MPoly(terms)
+
+
+POLYS = {TracePoly: trace_polys(), MPoly: mpolys()}
+kinds = pytest.mark.parametrize("cls", list(POLYS), ids=lambda c: c.__name__)
+small_scale = st.integers(min_value=-2, max_value=2)
+
+
+def no_zero_stored(p):
+    return all(c != 0 for c in p.terms.values())
+
+
+@kinds
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_pass_sum_equals_repeated_addition(cls, data):
+    polys = data.draw(st.lists(POLYS[cls], max_size=5))
+    scales = data.draw(st.lists(small_scale, min_size=len(polys), max_size=len(polys)))
+    expected = cls.zero()
+    for s, p in zip(scales, polys):
+        expected = expected + s * p
+    got = cls.sum(zip(scales, polys))
+    assert got == expected and no_zero_stored(got)
+    assert cls.sum(polys) == cls.sum((1, p) for p in polys)
+
+
+@kinds
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fused_add_product_equals_adding_the_product(cls, data):
+    acc, a, b = (data.draw(POLYS[cls]) for _ in range(3))
+    scale = data.draw(small_scale)
+    terms = dict(acc.terms)
+    cls.add_product(terms, a, b, scale)
+    got = cls(terms)
+    assert got == acc + scale * (a * b)
+    assert got.terms == terms      # nothing left for the constructor to drop
+
+
+@kinds
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cancellation_stores_no_zero_coefficient(cls, data):
+    p, q = data.draw(POLYS[cls]), data.draw(POLYS[cls])
+    assert (p - p).terms == {} and (p + (-p)).terms == {}
+    assert cls.sum([p, q, (-1, p)]).terms == q.terms
+    terms = dict((p * q).terms)
+    cls.add_product(terms, p, q, -1)
+    assert terms == {}
+    assert no_zero_stored(p + q) and no_zero_stored(p * q)
+
+
+def test_trace_and_matrix_entry_polynomials_never_mix():
+    tp, mp = x(1) + 1, MPoly.var("a") + 1
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(tp, mp)
+        with pytest.raises(TypeError):
+            op(mp, tp)
+    with pytest.raises(TypeError):
+        TracePoly.sum([tp, mp])
+    assert tp != mp

@@ -92,6 +92,7 @@ class TestIsTraceIdentity:
         assert not is_trace_identity(ch_poly(n), m)
         witness = random_counterexample(ch_poly(n), m, trials=20, seed=0)
         assert witness is not None
+        assert not evaluate(ch_poly(n), witness, m).is_zero()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_ch_n_holds_below(self, m):

@@ -99,20 +99,6 @@ class TestCheckPseudocharacter:
         report = check_pseudocharacter(p, max_exhaustive=1, sample_size=50)
         assert report.passed and not report.exhaustive
 
-    def test_parallel_scan_matches_sequential(self):
-        s3 = symmetric_group_3()
-        good = PseudoCharTable(
-            s3, 2, tuple(Fraction(v) for v in (2, -1, -1, 0, 0, 0)))
-        bad = PseudoCharTable(
-            s3, 2, tuple(Fraction(v) for v in (2, -1, -1, 0, 1, 0)))
-        for table in (good, bad):
-            seq = check_pseudocharacter(table)
-            for workers in (2, 4):
-                par = check_pseudocharacter(table, workers=workers)
-                assert par.passed == seq.passed
-                assert par.axiom3_witness == seq.axiom3_witness
-                assert par.tuples_checked == seq.tuples_checked
-
 
 class TestFrobeniusProperty:
     def test_every_character_of_every_group_up_to_8_passes(self):
