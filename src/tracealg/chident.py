@@ -72,7 +72,8 @@ def sigma(i: int) -> TracePoly:
     if i <= 0:
         raise ValueError("i must be a positive integer")
     ek = elementary_from_powersums(i)
-    return TracePoly.sum((c, _psi_monomial_to_traces(mono)) for mono, c in ek.terms.items())
+    return TracePoly.sum((c, _psi_monomial_to_traces(MPoly.decode(key)))
+                         for key, c in ek.terms.items())
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,6 @@ default to seed 0 so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 import click
 
@@ -81,12 +80,17 @@ def verify(poly, size, trials, seed):
     witness = None
     if trials > 0:
         witness = genmat.random_counterexample(p, size, trials=trials, seed=seed)
-    if witness is None and not genmat.is_trace_identity(p, size):
-        witness = genmat.random_counterexample(p, size, trials=200, seed=seed)
-        if witness is None:
-            # fall back to generic matrices as the witness description
-            click.echo("not an identity (generic evaluation is nonzero)")
-            sys.exit(1)
+    if witness is None:
+        try:
+            holds = genmat.is_trace_identity(p, size)
+        except OverflowError as exc:
+            _fail_usage(f"--poly: too long for generic matrices: {exc}")
+        if not holds:
+            witness = genmat.random_counterexample(p, size, trials=200, seed=seed)
+            if witness is None:
+                # fall back to generic matrices as the witness description
+                click.echo("not an identity (generic evaluation is nonzero)")
+                sys.exit(1)
     if witness is not None:
         click.echo(f"counterexample for {poly} at size {size}:")
         for var in sorted(witness):

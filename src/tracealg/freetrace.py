@@ -82,8 +82,9 @@ def _key_mul(k1, k2):
 class TracePoly(SparsePoly):
     """Normal-form element of the free trace algebra.
 
-    terms maps (word, traces) -> nonzero Fraction, where word is a tuple of
-    variable indices and traces is the sorted tuple of canonical cyclic words.
+    terms maps (word, traces) -> a nonzero int or Fraction, where word is a
+    tuple of variable indices and traces is the sorted tuple of canonical
+    cyclic words.
     """
 
     __slots__ = ()

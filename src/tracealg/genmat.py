@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .freetrace import TracePoly
 from .mpoly import MPoly, PolyMatrix, resultant
@@ -46,14 +47,18 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
     if missing:
         raise ValueError(f"variable x{missing[0]} has no matrix assigned")
 
-    word_cache = {(): PolyMatrix.identity(n)}
+    identity = PolyMatrix.identity(n)
+    prefixes = {}   # a trie of evaluated prefixes: letter -> (value, longer prefixes)
 
     def word_value(w):
-        got = word_cache.get(w)
-        if got is None:
-            got = word_value(w[:-1]) * assignment[w[-1]]
-            word_cache[w] = got
-        return got
+        """Walk the longest evaluated prefix of w, then extend it letter by letter."""
+        value, longer = identity, prefixes
+        for letter in w:
+            node = longer.get(letter)
+            if node is None:
+                node = longer[letter] = (value * assignment[letter], {})
+            value, longer = node
+        return value
 
     total = [[{} for _ in range(n)] for _ in range(n)]
     for (w, traces), c in p.terms.items():
@@ -70,9 +75,14 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
 
 
 def is_trace_identity(p: TracePoly, n: int) -> bool:
-    """Exact symbolic check that p vanishes identically on n x n matrices."""
+    """Exact symbolic check that p vanishes identically on n x n matrices.
+
+    p is first scaled by the lcm of its coefficient denominators, which does
+    not change whether it vanishes, so the evaluation runs over int.
+    """
+    denom = lcm(*(c.denominator for c in p.terms.values()))
     assignment = {i: generic_matrix(i, n) for i in p.variables()}
-    return evaluate(p, assignment, n).is_zero()
+    return evaluate(denom * p, assignment, n).is_zero()
 
 
 def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0,

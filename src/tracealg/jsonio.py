@@ -41,6 +41,13 @@ def _integer(value, where: str, low: int = None, high: int = None) -> int:
     return value
 
 
+def _list(value, where: str) -> list:
+    """A JSON array, checked before anything takes its length or iterates it."""
+    if not isinstance(value, list):
+        raise InputFormatError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
 def _load(path_or_text, kind: str) -> dict:
     try:
         if hasattr(path_or_text, "read"):
@@ -63,16 +70,17 @@ def load_algebra(text) -> TraceAlgebra:
     for key in ("dim", "mul", "unit", "trace"):
         if key not in data:
             raise InputFormatError(f"algebra: missing field {key!r}")
-    d = data["dim"]
-    mul = data["mul"]
-    if len(mul) != d or any(len(row) != d for row in mul):
+    d = _integer(data["dim"], "algebra.dim", low=0)
+    mul = _list(data["mul"], "algebra.mul")
+    if len(mul) != d or any(len(_list(row, f"algebra.mul[{i}]")) != d
+                            for i, row in enumerate(mul)):
         raise InputFormatError(f"algebra.mul: expected {d}x{d} table")
     sparse = []
     for i, row in enumerate(mul):
         srow = []
         for j, cell in enumerate(row):
             entries = []
-            for pair in cell:
+            for pair in _list(cell, f"algebra.mul[{i}][{j}]"):
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise InputFormatError(
                         f"algebra.mul[{i}][{j}]: expected [k, coeff] pairs")
@@ -80,15 +88,15 @@ def load_algebra(text) -> TraceAlgebra:
                 entries.append((k, parse_rational(pair[1], f"algebra.mul[{i}][{j}]")))
             srow.append(entries)
         sparse.append(srow)
-    unit = [parse_rational(c, "algebra.unit") for c in data["unit"]]
-    trace = [parse_rational(c, "algebra.trace") for c in data["trace"]]
+    unit = [parse_rational(c, "algebra.unit") for c in _list(data["unit"], "algebra.unit")]
+    trace = [parse_rational(c, "algebra.trace") for c in _list(data["trace"], "algebra.trace")]
     if len(unit) != d or len(trace) != d:
         raise InputFormatError("algebra: unit and trace must have length dim")
     labels = data.get("basis")
     blocks = None
     if "blocks" in data:
         blocks = []
-        for b, block in enumerate(data["blocks"]):
+        for b, block in enumerate(_list(data["blocks"], "algebra.blocks")):
             where = f"algebra.blocks[{b}]"
             if not (isinstance(block, list) and len(block) == 2 and isinstance(block[1], list)):
                 raise InputFormatError(f"{where}: expected [m, [basis indices]]")
@@ -118,9 +126,10 @@ def load_group(text) -> FiniteGroup:
     for key in ("order", "table"):
         if key not in data:
             raise InputFormatError(f"group: missing field {key!r}")
-    order = data["order"]
-    table = data["table"]
-    if len(table) != order or any(len(row) != order for row in table):
+    order = _integer(data["order"], "group.order", low=0)
+    table = _list(data["table"], "group.table")
+    if len(table) != order or any(len(_list(row, f"group.table[{i}]")) != order
+                                  for i, row in enumerate(table)):
         raise InputFormatError(f"group.table: expected {order}x{order} table")
     for i, row in enumerate(table):
         for j, entry in enumerate(row):
@@ -147,7 +156,7 @@ def load_pseudochar(text, group: FiniteGroup) -> PseudoCharTable:
             raise InputFormatError(f"pseudocharacter: missing field {key!r}")
     degree = _integer(data["n"], "pseudocharacter.n", low=0)
     values = [parse_rational(v, f"pseudocharacter.values[{i}]")
-              for i, v in enumerate(data["values"])]
+              for i, v in enumerate(_list(data["values"], "pseudocharacter.values"))]
     if len(values) != group.order:
         raise InputFormatError(
             f"pseudocharacter.values: expected {group.order} entries, got {len(values)}")

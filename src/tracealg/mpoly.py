@@ -1,45 +1,108 @@
 """Sparse multivariate polynomials over Q, and matrices of them.
 
-Variables are plain strings; a monomial is a sorted tuple of (name, exponent)
-pairs with positive exponents.  Coefficients are Fraction; zero coefficients
-are never stored, so equality of dicts is equality of polynomials.
+Variables are plain strings.  Coefficients are ``int`` or ``Fraction``
+(see ``sparse.exact``); zero coefficients are never stored, so equality of
+dicts is equality of polynomials.
+
+A monomial key is one ``int`` (Kronecker packing, as in the sparse
+polynomial arithmetic of Monagan & Pearce): the exponent of a variable sits
+in that variable's fixed 16-bit field, so the key of a product of monomials
+is the sum of their keys.  The top bit of each field is a guard bit: every
+exponent stays below ``EXPONENT_BOUND`` = 2^15, and a product that would
+reach it raises ``OverflowError`` instead of carrying into the next field.
+Fields are assigned to names in first-use order by an append-only table,
+shared by the whole process (threads included) and never cleared, since
+every live key is read against it.  Code outside this module reads a key
+only through ``MPoly.decode``.
 """
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .sparse import SparsePoly
+from .sparse import SparsePoly, exact
 
-Monomial = tuple  # tuple[tuple[str, int], ...]
+FIELD_BITS = 16
+EXPONENT_BOUND = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+_NAMES = []       # field index -> variable name
+_FIELDS = {}      # variable name -> field index
+_guard = 0        # the guard bit of every field handed out so far
+_assigning = threading.Lock()
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for name, e in m2:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted(d.items()))
+def _shift(name: str) -> int:
+    """The bit offset of ``name``'s field, assigning the next field on first use."""
+    global _guard
+    i = _FIELDS.get(name)
+    if i is None:
+        with _assigning:
+            i = _FIELDS.get(name)
+            if i is None:
+                i = len(_NAMES)
+                _NAMES.append(name)
+                _guard |= 1 << (FIELD_BITS * i + FIELD_BITS - 1)
+                _FIELDS[name] = i     # published last: its field is guarded by now
+    return FIELD_BITS * i
+
+
+def _overflow() -> OverflowError:
+    return OverflowError(f"monomial exponent reached 2^{FIELD_BITS - 1} = {EXPONENT_BOUND}; "
+                         f"packed monomials hold exponents below that bound")
+
+
+def _key_mul(k1: int, k2: int) -> int:
+    k = k1 + k2
+    if k & _guard:
+        raise _overflow()
+    return k
+
+
+def _decode(key: int) -> tuple:
+    """The sorted (name, exponent) pairs of a packed key."""
+    pairs = []
+    while key:
+        field = ((key & -key).bit_length() - 1) // FIELD_BITS   # lowest field in use
+        shift = field * FIELD_BITS
+        e = (key >> shift) & _FIELD_MASK
+        pairs.append((_NAMES[field], e))
+        key ^= e << shift
+    pairs.sort()
+    return tuple(pairs)
 
 
 class MPoly(SparsePoly):
     """Polynomial in named commuting variables with exact rational coefficients."""
 
     __slots__ = ()
-    UNIT_KEY = ()
-    key_mul = staticmethod(_mono_mul)
+    UNIT_KEY = 0
+    key_mul = staticmethod(_key_mul)
+    decode = staticmethod(_decode)
 
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, c) -> "MPoly":
-        return cls({(): Fraction(c)})
+        return cls({0: exact(c)})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "MPoly":
-        return cls({((name, exp),): Fraction(1)})
+        return cls.monomial(((name, exp),))
+
+    @classmethod
+    def monomial(cls, pairs, coeff=1) -> "MPoly":
+        """coeff times the product of name^exp over the (name, exp) pairs."""
+        key = 0
+        for name, e in pairs:
+            if e < 0:
+                raise ValueError(f"negative exponent {e} of {name}")
+            if e >= EXPONENT_BOUND:
+                raise _overflow()
+            key += e << _shift(name)
+        if key & _guard:
+            raise _overflow()
+        return cls({key: exact(coeff)})
 
     # -- queries -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -48,85 +111,77 @@ class MPoly(SparsePoly):
     def constant_value(self):
         """The coefficient of the empty monomial if self is constant, else None."""
         if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+            return 0
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         return None
 
     def total_degree(self) -> int:
         if not self.terms:
             return 0
-        return max(sum(e for _, e in m) for m in self.terms)
+        return max(sum(e for _, e in _decode(k)) for k in self.terms)
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            for name, _ in m:
-                out.add(name)
-        return out
+        return {name for k in self.terms for name, _ in _decode(k)}
 
     # -- evaluation / substitution --------------------------------------
     def evaluate(self, point) -> Fraction:
         """Evaluate at a dict name -> Fraction; unmapped variables are an error."""
         total = Fraction(0)
         cache = {}
-        for m, c in self.terms.items():
+        for k, c in self.terms.items():
             v = c
-            for name, e in m:
-                key = (name, e)
-                p = cache.get(key)
+            for pair in _decode(k):
+                p = cache.get(pair)
                 if p is None:
-                    p = Fraction(point[name]) ** e
-                    cache[key] = p
+                    name, e = pair
+                    p = cache[pair] = Fraction(point[name]) ** e
                 v *= p
             total += v
         return total
 
     def substitute(self, mapping) -> "MPoly":
-        """Ring substitution name -> MPoly; unmapped variables stay themselves."""
-        def image(m, c):
-            acc = MPoly.const(c)
-            for name, e in m:
-                repl = mapping.get(name)
-                if repl is None:
-                    repl = MPoly.var(name)
-                acc = acc * repl ** e
-            return acc
+        """Ring substitution name -> MPoly; unmapped variables stay themselves.
 
-        return MPoly.sum(image(m, c) for m, c in self.terms.items())
+        Each power repl^e is computed once per call and shared by every term
+        that uses it.
+        """
+        powers = {}
+
+        def image(k):
+            acc = None
+            for pair in _decode(k):
+                p = powers.get(pair)
+                if p is None:
+                    name, e = pair
+                    repl = mapping.get(name)
+                    p = powers[pair] = MPoly.var(name, e) if repl is None else repl ** e
+                acc = p if acc is None else acc * p
+            return MPoly.one() if acc is None else acc
+
+        return MPoly.sum((c, image(k)) for k, c in self.terms.items())
 
     def primitive(self) -> "MPoly":
-        """Divide by the gcd of integer coefficients (sign preserved).
-
-        Requires all coefficients to be integers times a common denominator;
-        general rational input is first scaled integer.
-        """
+        """The same polynomial scaled to coprime int coefficients, sign kept."""
         if not self.terms:
             return self
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(int(c * denom)))
-        scale = Fraction(denom, g)
-        return MPoly({m: c * scale for m, c in self.terms.items()})
+        denom = lcm(*(c.denominator for c in self.terms.values()))
+        ints = {k: int(c * denom) for k, c in self.terms.items()}
+        g = gcd(*ints.values())
+        return MPoly._wrap({k: c // g for k, c in ints.items()})
 
     # -- rendering -------------------------------------------------------
     @staticmethod
-    def _mono_str(m: Monomial) -> str:
-        parts = []
-        for name, e in m:
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+    def _mono_str(pairs) -> str:
+        return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs)
 
     def __str__(self):
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=lambda m: (sum(e for _, e in m), m))
+        terms = sorted(((_decode(k), c) for k, c in self.terms.items()),
+                       key=lambda t: (sum(e for _, e in t[0]), t[0]))
         chunks = []
-        for m in keys:
-            c = self.terms[m]
+        for m, c in terms:
             mono = self._mono_str(m)
             if not mono:
                 body = str(abs(c))

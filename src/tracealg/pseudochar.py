@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 from .chident import PermCycles
-from .findim import (Subspace, TraceAlgebra, ch_degree, make_algebra,
-                     quotient_algebra, trace_kernel)
+from .findim import (TraceAlgebra, ch_degree, make_algebra, quotient_algebra,
+                     trace_kernel)
 
 
 class GroupValidationError(ValueError):

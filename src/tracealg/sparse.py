@@ -1,14 +1,26 @@
 """Sparse exact arithmetic shared by TracePoly and MPoly.
 
 A polynomial is a dict ``terms`` from hashable monomial keys to nonzero
-Fraction coefficients; no zero coefficient is ever stored, so equality of
-polynomials is equality of dicts.  The ring operations live here once, with
-two accumulation primitives: ``sum`` and ``add_product`` build a sum in one
-dict, where repeated ``+`` would copy the running total once per summand.
+exact coefficients, each an ``int`` or a ``Fraction``; no zero coefficient
+is ever stored, so equality of polynomials is equality of dicts (an integral
+Fraction equals, and hashes like, the same int).  Coefficients enter through
+``exact``, which keeps integers as ``int``: integer arithmetic stays on the
+fast path, and a Fraction appears only where a denominator does.  The ring
+operations live here once, with two accumulation primitives: ``sum`` and
+``add_product`` build a sum in one dict, where repeated ``+`` would copy the
+running total once per summand.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def exact(c):
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _add_scaled(out: dict, terms: dict, scale=1) -> None:
@@ -52,7 +64,7 @@ class SparsePoly:
 
     @classmethod
     def one(cls):
-        return cls({cls.UNIT_KEY: Fraction(1)})
+        return cls({cls.UNIT_KEY: 1})
 
     # -- accumulation ---------------------------------------------------
     @classmethod
@@ -99,7 +111,7 @@ class SparsePoly:
         if type(other) is type(self):
             return other
         if isinstance(other, (int, Fraction)):
-            return type(self)({self.UNIT_KEY: Fraction(other)})
+            return type(self)({self.UNIT_KEY: exact(other)})
         return NotImplemented
 
     def _plus(self, other, scale):

@@ -71,6 +71,17 @@ class TestVerify:
                                       "--size", "2"])
         assert result.exit_code == 0
 
+    def test_long_word_is_checked_without_recursion(self, runner):
+        result = runner.invoke(main, ["verify", "--poly", "x^1000", "--size", "1"])
+        assert result.exit_code == 1, result.output
+        assert "counterexample" in result.output
+
+    def test_exponent_past_the_packed_bound_exits_2(self, runner):
+        result = runner.invoke(main, ["verify", "--poly", "x^32768", "--size", "1"])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "2^15" in result.output
+
     def test_deterministic_witness(self, runner):
         args = ["verify", "--poly", "builtin:ch1", "--size", "2",
                 "--random", "5", "--seed", "11"]
@@ -206,8 +217,29 @@ def _pseudochar_argv(group, char):
     (_pseudochar_argv(5, C2_CHAR), "group"),
     (_pseudochar_argv(C2_GROUP, {**C2_CHAR, "n": "two"}), "pseudocharacter.n"),
     (_pseudochar_argv(C2_GROUP, {**C2_CHAR, "n": -1}), "pseudocharacter.n"),
+    (lambda tmp: ["algebra", "kernel", "--in", _write(tmp / "a.json", {
+        "dim": 1, "mul": 5, "unit": ["1"], "trace": ["1"]})], "algebra.mul"),
+    (lambda tmp: ["algebra", "kernel", "--in", _write(tmp / "a.json", {
+        "dim": 1, "mul": [5], "unit": ["1"], "trace": ["1"]})], "algebra.mul[0]"),
+    (lambda tmp: ["algebra", "kernel", "--in", _write(tmp / "a.json", {
+        "dim": 1, "mul": [[5]], "unit": ["1"], "trace": ["1"]})], "algebra.mul[0][0]"),
+    (lambda tmp: ["algebra", "kernel", "--in", _write(tmp / "a.json", {
+        "dim": "one", "mul": [[[]]], "unit": ["1"], "trace": ["1"]})], "algebra.dim"),
+    (lambda tmp: ["algebra", "kernel", "--in",
+                  _write(tmp / "a.json", {**QQ_ALGEBRA, "unit": 7})], "algebra.unit"),
+    (lambda tmp: ["algebra", "kernel", "--in",
+                  _write(tmp / "a.json", {**QQ_ALGEBRA, "trace": "2"})], "algebra.trace"),
+    (lambda tmp: ["algebra", "weights", "--in",
+                  _write(tmp / "a.json", {**QQ_ALGEBRA, "blocks": 3})], "algebra.blocks"),
+    (_pseudochar_argv({**C2_GROUP, "table": 4}, C2_CHAR), "group.table"),
+    (_pseudochar_argv({**C2_GROUP, "table": [[0, 1], 1]}, C2_CHAR), "group.table[1]"),
+    (_pseudochar_argv({**C2_GROUP, "order": [2]}, C2_CHAR), "group.order"),
+    (_pseudochar_argv(C2_GROUP, {**C2_CHAR, "values": 2}), "pseudocharacter.values"),
 ], ids=["zero-denominator", "block-size", "algebra-not-object", "table-entry",
-        "group-not-object", "degree-text", "degree-negative"])
+        "group-not-object", "degree-text", "degree-negative", "mul-not-list",
+        "mul-row-not-list", "mul-cell-not-list", "dim-text", "unit-not-list",
+        "trace-not-list", "blocks-not-list", "table-not-list", "table-row-not-list",
+        "order-not-integer", "values-not-list"])
 def test_malformed_input_exits_2_naming_the_field(runner, tmp_path, argv, field):
     result = runner.invoke(main, argv(tmp_path))
     assert result.exit_code == 2, result.output

@@ -1,5 +1,9 @@
 """Free trace algebra: normal forms, products, the trace, substitution."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tracealg.freetrace import (CyclicWord, TracePoly, formal_trace,
                                 least_rotation, mul, normalize,
                                 parse_trace_poly, substitute, x)
+from tracealg import mpoly
 from tracealg.mpoly import MPoly
 
 
@@ -173,11 +178,12 @@ class TestRendering:
 
 @st.composite
 def mpolys(draw):
-    terms = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        exps = draw(st.dictionaries(st.sampled_from("abc"), st.integers(1, 2), max_size=2))
-        terms[tuple(sorted(exps.items()))] = draw(small_rational)
-    return MPoly(terms)
+    n_terms = draw(st.integers(min_value=0, max_value=3))
+    return MPoly.sum(
+        MPoly.monomial(draw(st.dictionaries(st.sampled_from("abc"), st.integers(1, 2),
+                                            max_size=2)).items(),
+                       draw(small_rational))
+        for _ in range(n_terms))
 
 
 POLYS = {TracePoly: trace_polys(), MPoly: mpolys()}
@@ -227,6 +233,77 @@ def test_cancellation_stores_no_zero_coefficient(cls, data):
     cls.add_product(terms, p, q, -1)
     assert terms == {}
     assert no_zero_stored(p + q) and no_zero_stored(p * q)
+
+
+@given(st.dictionaries(st.sampled_from(["a", "b", "xi1_2_3", "psi4"]),
+                       st.integers(0, 2 ** 15 - 1)), small_rational)
+@settings(max_examples=40, deadline=None)
+def test_monomial_round_trips_through_decode(exps, coeff):
+    p = MPoly.monomial(exps.items(), coeff)
+    expected = tuple(sorted((name, e) for name, e in exps.items() if e))
+    if coeff == 0:
+        assert p.terms == {}
+    else:
+        ((key, c),) = p.terms.items()
+        assert MPoly.decode(key) == expected and c == coeff
+
+
+def test_packed_exponents_stop_at_the_guard_bit():
+    top = MPoly.var("x", 2 ** 15 - 1)
+    assert MPoly.var("x", 2 ** 14) * MPoly.var("x", 2 ** 14 - 1) == top
+    assert top.total_degree() == 2 ** 15 - 1 and str(top) == "x^32767"
+    with pytest.raises(OverflowError, match="2\\^15"):
+        MPoly.var("x", 2 ** 14) * MPoly.var("x", 2 ** 14)
+    with pytest.raises(OverflowError):
+        top * MPoly.var("x")
+    with pytest.raises(OverflowError):
+        MPoly.var("x", 2 ** 15)
+    # the neighbouring field is untouched by a product just below the bound
+    assert (top * MPoly.var("y")).variables() == {"x", "y"}
+
+
+CONCURRENT_FIRST_USE = """
+import sys, threading
+from tracealg.mpoly import MPoly
+names = [f"v{j}" for j in range(3000)]
+seen = [None] * 8
+start = threading.Barrier(8, timeout=60)
+
+def register(t):
+    start.wait()
+    seen[t] = {name: next(iter(MPoly.var(name).terms)) for name in names}
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=register, args=(t,)) for t in range(8)]
+for th in threads:
+    th.start()
+for th in threads:
+    th.join(timeout=60)
+if any(th.is_alive() for th in threads):
+    sys.exit("a thread did not finish")
+keys = seen[0]
+if any(got != keys for got in seen) or len(set(keys.values())) != len(names):
+    sys.exit("two threads saw different fields, or two names share one")
+if any(MPoly.decode(key) != ((name, 1),) for name, key in keys.items()):
+    sys.exit("a key does not decode to its own name")
+"""
+
+
+def test_concurrent_first_use_gives_each_name_its_own_field():
+    # in a fresh interpreter, so that the process-wide name table of this
+    # one does not grow by thousands of fields
+    src = Path(mpoly.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", CONCURRENT_FIRST_USE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = MPoly.const(Fraction(4, 2)) + MPoly.var("a") * Fraction(3)
+    assert all(type(c) is int for c in p.terms.values())
+    assert all(type(c) is int for c in (Fraction(1, 2) * p).primitive().terms.values())
 
 
 def test_trace_and_matrix_entry_polynomials_never_mix():

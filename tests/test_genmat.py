@@ -111,6 +111,17 @@ class TestIsTraceIdentity:
         assert random_counterexample(p, 4, trials=10, seed=3) is None
         assert is_trace_identity(p, 4)
 
+    @pytest.mark.parametrize("n,holds", [(3, True), (4, False)])
+    def test_rational_multiple_keeps_the_verdict(self, n, holds):
+        # denominators are cleared before evaluating; the verdict must not move
+        assert is_trace_identity(Fraction(1, 6) * ch_poly(3), n) is holds
+
+    def test_long_word_needs_no_recursion(self):
+        # one prefix per letter, found by a loop rather than by recursion
+        p = TracePoly.word([1] * 5000)
+        assert not is_trace_identity(p, 1)
+        assert evaluate(p, {1: rational_matrix([[1]])}, 1) == PolyMatrix.identity(1)
+
 
 class TestNilpotentAndIdempotentTraces:
     def test_nilpotent_matrices_have_zero_trace(self):

@@ -1,4 +1,8 @@
-"""Library checks must survive ``python -O``, which strips ``assert``."""
+"""Lints over the library sources.
+
+Library checks must survive ``python -O``, which strips ``assert``, and no
+module imports a name it never uses.
+"""
 import ast
 from pathlib import Path
 
@@ -16,3 +20,33 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at line(s) {lines}; raise explicitly instead"
+
+
+def _imported_names(tree):
+    """Name bound by each import statement -> its line, ``__future__`` aside."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _referenced_names(tree):
+    """Every name read in the module, plus the re-exports listed in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = _imported_names(tree).keys() - _referenced_names(tree)
+    assert not unused, f"{path.name}: unused import(s) {sorted(unused)}"
