@@ -96,7 +96,7 @@ class Cyc:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Cyc(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -124,6 +124,9 @@ class Cyc:
         return NotImplemented
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational is its constant coefficient; no Cyc is built
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented

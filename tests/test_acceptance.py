@@ -6,6 +6,7 @@ runtime budgets are enforced with a wall-clock check.  Run with
 """
 import time
 from fractions import Fraction
+from math import comb
 
 from click.testing import CliRunner
 
@@ -227,3 +228,18 @@ def test_criterion_9_one_variable_model_oracle():
     assert not candidate.substitute(subs).is_zero()
     report(9, "one-variable model identities verify; resultant discriminant vanishes; quartic candidate rejected",
            budget.check("criterion 9"))
+
+
+def test_criterion_10_d6_degree_5_scan():
+    budget = Budget(10.0)
+    d6 = dihedral_group(6)
+    table = character_table(d6)
+    # both two-dimensional irreducibles plus the trivial character
+    chosen = [c for c in table if c[d6.identity] == 2] + \
+        [next(c for c in table if all(v == 1 for v in c))]
+    values = tuple(sum(column) for column in zip(*chosen))
+    rep = check_pseudocharacter(PseudoCharTable(d6, 5, values))
+    assert rep.passed and rep.exhaustive
+    assert rep.tuples_checked == comb(17, 6) == 12376
+    report(10, f"D6 degree-5 pseudocharacter: all {rep.tuples_checked} multisets, "
+               f"{rep.memo_states} memo states", budget.check("criterion 10"))

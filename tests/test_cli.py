@@ -4,10 +4,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from tracealg.characters import character_table
 from tracealg.cli import main
 from tracealg.findim import weighted_semisimple
 from tracealg.jsonio import dump_algebra, dump_group
-from tracealg.pseudochar import cyclic_group, symmetric_group_3
+from tracealg.pseudochar import cyclic_group, dihedral_group, symmetric_group_3
 
 
 @pytest.fixture
@@ -178,6 +179,23 @@ class TestPseudocharCommand:
                                       "--group", str(group_path),
                                       "--char", str(char_path)])
         assert result.exit_code == 0
+
+    def test_d6_degree_5_exhaustive(self, runner, tmp_path):
+        d6 = dihedral_group(6)
+        table = character_table(d6)
+        chosen = [c for c in table if c[d6.identity] == 2] + \
+            [next(c for c in table if all(v == 1 for v in c))]
+        group_path = tmp_path / "d6.json"
+        group_path.write_text(dump_group(d6))
+        char_path = tmp_path / "chi.json"
+        char_path.write_text(json.dumps(
+            {"n": 5, "values": [str(sum(column)) for column in zip(*chosen)]}))
+        result = runner.invoke(main, ["pseudochar", "check",
+                                      "--group", str(group_path),
+                                      "--char", str(char_path)])
+        assert result.exit_code == 0
+        assert result.output == \
+            "pass: degree-5 pseudocharacter (exhaustive, 12376 tuples)\n"
 
     def test_wrong_value_count(self, runner, tmp_path):
         group_path = tmp_path / "c2.json"

@@ -1,15 +1,21 @@
 """Pseudocharacter axioms, kernels and brute-force character tables."""
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracealg.characters import (character_table, conjugacy_classes,
                                  inner_product)
 from tracealg.cyclotomic import Cyc
 from tracealg.findim import ch_degree, trace_kernel
 from tracealg.pseudochar import (FiniteGroup, GroupValidationError,
-                                 PseudoCharTable, check_pseudocharacter,
-                                 cyclic_group, dihedral_group, direct_product,
+                                 PseudoCharTable, PseudoCheckReport,
+                                 check_pseudocharacter,
+                                 class_function_trace_sum, cyclic_group,
+                                 dihedral_group, direct_product,
                                  group_algebra, klein_four_group, make_group,
                                  multilinear_trace_sum, pseudochar_kernel,
                                  quaternion_group, symmetric_group_3)
@@ -144,8 +150,127 @@ class TestFrobeniusProperty:
 
 
 def _all_tuples(order, length):
-    from itertools import combinations_with_replacement
     return combinations_with_replacement(range(order), length)
+
+
+# -- the recursion against the permutation sum --------------------------------
+
+ORACLE_GROUPS = {
+    "C3": cyclic_group(3), "C4": cyclic_group(4), "C5": cyclic_group(5),
+    "S3": symmetric_group_3(), "D4": dihedral_group(4),
+    "Q8": quaternion_group(), "D6": dihedral_group(6),
+}
+
+
+@lru_cache(maxsize=None)
+def _character_rows(name):
+    return tuple(character_table(ORACLE_GROUPS[name]))
+
+
+@st.composite
+def class_function_multisets(draw):
+    """A group, an integer combination of its characters (Cyc-valued on
+    C3, C4 and C5) and a few multisets of at most 5 elements."""
+    name = draw(st.sampled_from(sorted(ORACLE_GROUPS)))
+    group, rows = ORACLE_GROUPS[name], _character_rows(name)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    values = tuple(sum((c * row[e] for c, row in zip(coeffs, rows)), Fraction(0))
+                   for e in range(group.order))
+    tuples = draw(st.lists(st.lists(st.integers(0, group.order - 1), max_size=5),
+                           min_size=1, max_size=3))
+    return group, values, [tuple(t) for t in tuples]
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_function_multisets())
+def test_recursion_matches_permutation_sum(case):
+    group, values, tuples = case
+    memo = {}  # shared, as in one scan
+    for elements in tuples:
+        assert class_function_trace_sum(group, values, elements, memo) == \
+            multilinear_trace_sum(group, values, elements)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.lists(rationals, max_size=6),
+       st.lists(rationals, max_size=6), rationals)
+def test_cyc_rational_comparison_and_subtraction(m, a, b, r):
+    x, y = Cyc(m, a), Cyc(m, b)
+    assert (x == r) == (x.coeffs == Cyc.rational(m, r).coeffs)
+    assert Cyc.rational(m, r) == r and Cyc.rational(m, r) + x - x == r
+    assert (x - y).coeffs == (x + (-y)).coeffs
+    assert (x - r).coeffs == (x + Cyc.rational(m, -r)).coeffs
+
+
+def _reference_report(p):
+    """The scan as a plain permutation sum over every multiset in order."""
+    g, n, values = p.group, p.degree, p.values
+    report = PseudoCheckReport(passed=False, degree=n, axiom1_ok=True,
+                               axiom2_ok=True, axiom3_ok=True)
+    if values[g.identity] != n:
+        report.axiom1_ok, report.axiom1_witness = False, values[g.identity]
+    report.axiom2_witness = next(
+        ((a, b) for a in range(g.order) for b in range(a + 1, g.order)
+         if values[g.mult(a, b)] != values[g.mult(b, a)]), None)
+    report.axiom2_ok = report.axiom2_witness is None
+    for elems in combinations_with_replacement(range(g.order), n + 1):
+        report.tuples_checked += 1
+        if multilinear_trace_sum(g, values, elems) != 0:
+            report.axiom3_ok, report.axiom3_witness = False, elems
+            break
+    report.passed = report.axiom1_ok and report.axiom2_ok and report.axiom3_ok
+    return report
+
+
+def _characters_and_perturbations(group):
+    """Every character, then every single-value perturbation of the rational ones."""
+    for chi in character_table(group):
+        n = char_degree(group, chi)
+        yield PseudoCharTable(group, n, tuple(chi))
+        if all(isinstance(v, Fraction) for v in chi):
+            for k in range(group.order):
+                values = list(chi)
+                values[k] += 1
+                yield PseudoCharTable(group, n, tuple(values))
+
+
+class TestRecursiveScan:
+    def test_reports_equal_the_permutation_scan(self):
+        for name, group in all_groups_up_to_8().items():
+            for p in _characters_and_perturbations(group):
+                report = check_pseudocharacter(p)
+                assert replace(report, memo_states=0) == _reference_report(p), (name, p.values)
+                # the memo is used exactly when t is a class function
+                assert (report.memo_states > 0) == report.axiom2_ok, (name, p.values)
+
+    def test_int_values_match_fractions(self):
+        for name, group in all_groups_up_to_8().items():
+            for p in _characters_and_perturbations(group):
+                if not all(isinstance(v, Fraction) for v in p.values):
+                    continue
+                ints = replace(p, values=tuple(int(v) for v in p.values))
+                assert check_pseudocharacter(ints) == check_pseudocharacter(p), (name, p.values)
+                sampled = dict(max_exhaustive=1, sample_size=40, seed=7)
+                assert check_pseudocharacter(ints, **sampled) == \
+                    check_pseudocharacter(p, **sampled), (name, p.values)
+
+    def test_d6_degree_4_memo_states(self):
+        # every multiset of at most 5 of the 12 elements, the empty one included
+        d6 = dihedral_group(6)
+        report = check_pseudocharacter(PseudoCharTable(d6, 4, (Fraction(4),) * 12))
+        assert report.passed and report.tuples_checked == 4368
+        assert report.memo_states == 6188
+
+    def test_degree_past_the_recursion_limit(self):
+        # on the trivial group T_{k+1} = (t(1) - k) T_k, one state per size
+        c1 = cyclic_group(1)
+        report = check_pseudocharacter(PseudoCharTable(c1, 1500, (1500,)))
+        assert report.passed and report.memo_states == 1502
+        report = check_pseudocharacter(PseudoCharTable(c1, 1500, (1501,)))
+        assert not report.axiom1_ok and report.axiom3_witness == (0,) * 1501
 
 
 class TestPseudocharKernel:
