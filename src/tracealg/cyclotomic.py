@@ -62,6 +62,18 @@ class Cyc:
         self.coeffs = tuple(work)
 
     @classmethod
+    def _reduced(cls, m: int, coeffs: tuple) -> "Cyc":
+        """A Cyc from a tuple of Fractions already reduced modulo Phi_m.
+
+        Sums, differences and negations of reduced elements are reduced, so
+        they skip the re-wrapping and the reduction of the constructor.
+        """
+        out = object.__new__(cls)
+        out.m = m
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def rational(cls, m: int, value) -> "Cyc":
         return cls(m, [Fraction(value)])
 
@@ -85,18 +97,18 @@ class Cyc:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyc(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Cyc._reduced(self.m, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.m, [-a for a in self.coeffs])
+        return Cyc._reduced(self.m, tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyc(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Cyc._reduced(self.m, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __rsub__(self, other):
         return (-self) + other

@@ -117,7 +117,7 @@ class TraceAlgebra:
         return tuple(out)
 
     def trace_of(self, x) -> Fraction:
-        return sum((xi * t for xi, t in zip(x, self.trace_vector)), Fraction(0))
+        return sum((xi * t for xi, t in zip(x, self.trace_vector) if xi), Fraction(0))
 
     def basis_vector(self, i):
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))

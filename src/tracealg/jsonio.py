@@ -93,6 +93,9 @@ def load_algebra(text) -> TraceAlgebra:
     if len(unit) != d or len(trace) != d:
         raise InputFormatError("algebra: unit and trace must have length dim")
     labels = data.get("basis")
+    if labels is not None and (len(_list(labels, "algebra.basis")) != d
+                               or not all(isinstance(x, str) for x in labels)):
+        raise InputFormatError(f"algebra.basis: expected {d} label strings")
     blocks = None
     if "blocks" in data:
         blocks = []

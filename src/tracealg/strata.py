@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 from .findim import WeightedType
 
@@ -103,6 +104,11 @@ def stratum_dims(s: StratumType, ell: int) -> StratumDims:
     )
 
 
+def _size_partition(s: StratumType) -> list:
+    """The partition of n with block size m repeated a times, largest first."""
+    return sorted((m for m, a in s.pairs for _ in range(a)), reverse=True)
+
+
 @lru_cache(maxsize=None)
 def closure_leq(lower: StratumType, upper: StratumType, n: int = None) -> bool:
     """True iff the lower stratum lies in the closure of the upper one.
@@ -111,46 +117,52 @@ def closure_leq(lower: StratumType, upper: StratumType, n: int = None) -> bool:
     sum_j r[i][j] * m'_j = m_i for every block i of upper and
     a'_j = sum_i a_i * r[i][j] for every block j of lower: the embedding
     multiplicities of the lower block algebra inside the upper one.
+
+    Such an r refines the size partition of upper into that of lower, and
+    refinement implies dominance, so a pair whose lower size partition is
+    not dominated by the upper one is rejected before any search.  The
+    search fills r row by row, heaviest upper block first (its row is the
+    most constrained), and records each state (row i, lower weights still
+    to cover) it has failed from, so no state is explored twice.
     """
     if n is None:
         n = upper.n
     if lower.n != n or upper.n != n:
         raise ValueError(f"stratum types have mismatched n: {lower.n} vs {upper.n}")
-    up = upper.pairs
-    low = lower.pairs
-    k_low = len(low)
+    if any(u < l for u, l in zip(accumulate(_size_partition(upper)),
+                                 accumulate(_size_partition(lower)))):
+        return False
+    up = sorted(upper.pairs, key=lambda p: -p[1])
+    sizes = [m for m, _ in lower.pairs]
+    room = [a for _, a in lower.pairs]   # room[j]: weight of lower block j left to cover
+    dead = set()
 
-    # all ways to write m as a nonnegative combination of the lower sizes
-    @lru_cache(maxsize=None)
-    def row_options(m):
-        opts = []
-
-        def rec(j, remaining, row):
-            if j == k_low:
-                if remaining == 0:
-                    opts.append(tuple(row))
-                return
-            size = low[j][0]
-            for count in range(remaining // size + 1):
-                rec(j + 1, remaining - count * size, row + [count])
-
-        rec(0, m, [])
-        return opts
-
-    target = tuple(a for _, a in low)
-
-    def search(i, col_sums):
-        if i == len(up):
-            return col_sums == target
-        m_i, a_i = up[i]
-        for row in row_options(m_i):
-            new_sums = tuple(c + a_i * r for c, r in zip(col_sums, row))
-            if all(c <= t for c, t in zip(new_sums, target)):
-                if search(i + 1, new_sums):
-                    return True
+    def search(i):
+        if i == len(up) - 1:
+            # the last row must be room / a_i; it sums to m_i since both sides total n
+            return all(r % up[i][1] == 0 for r in room)
+        state = (i, tuple(room))
+        if state in dead:
+            return False
+        if fill(i, 0, up[i][0]):
+            return True
+        dead.add(state)
         return False
 
-    return search(0, tuple([0] * k_low))
+    def fill(i, j, remaining):
+        # choose r[i][j], r[i][j+1], ... with sum_j' r[i][j'] * m'_j' = remaining
+        if j == len(sizes):
+            return remaining == 0 and search(i + 1)
+        a_i, size = up[i][1], sizes[j]
+        for count in range(min(remaining // size, room[j] // a_i) + 1):
+            room[j] -= a_i * count
+            found = fill(i, j + 1, remaining - count * size)
+            room[j] += a_i * count
+            if found:
+                return True
+        return False
+
+    return search(0)
 
 
 def maximal_degenerations(s: StratumType, ell: int):
@@ -250,19 +262,41 @@ def _is_two_split(lower: StratumType, upper: StratumType) -> bool:
 def stratification_poset(n: int, ell: int) -> StrataPoset:
     """Closure poset of all stratum types for the given n and ell.
 
-    Covering edges carry the dimension drop; every codimension-1 edge is
-    checked to be the one known exception (ell = 2 and a 2x2 block splitting
-    into two lines) and flagged.
+    Every relation t < s is certified by an embedding.  Each move of
+    maximal_degenerations (split one block, merge two equal-size blocks) is
+    an explicit embedding and embeddings compose, so a chain of moves
+    certifies t < s; every pair that no chain reaches is decided by
+    closure_leq's embedding search.  The covers of s are the types below s
+    that lie below no other type below s.  Covering edges carry the
+    dimension drop; every codimension-1 edge is checked to be the one known
+    exception (ell = 2 and a 2x2 block splitting into two lines) and flagged.
     """
     if n < 1 or ell < 2:
         raise ValueError("need n >= 1 and ell >= 2")
     nodes = enumerate_types(n)
-    below = {s: [t for t in nodes if t != s and closure_leq(t, s, n)] for s in nodes}
+    index = {s: i for i, s in enumerate(nodes)}
+    # down[i] has bit j set iff nodes[j] lies strictly below nodes[i].  A move
+    # adds parts to the size partition, or keeps it and removes a block, so
+    # in this order every move's target is visited before its source.
+    down = [0] * len(nodes)
+    for s in sorted(nodes, key=lambda s: (-len(_size_partition(s)), s.block_count)):
+        i = index[s]
+        for t, _ in maximal_degenerations(s, ell):
+            down[i] |= 1 << index[t] | down[index[t]]
+    for i, s in enumerate(nodes):
+        for j, t in enumerate(nodes):
+            if j != i and not down[i] >> j & 1 and closure_leq(t, s, n):
+                down[i] |= 1 << j
     covers = []
-    for s in nodes:
-        for t in below[s]:
-            if any(u in below[s] and closure_leq(t, u, n) for u in below[s] if u != t):
+    for i, s in enumerate(nodes):
+        below = [j for j in range(len(nodes)) if down[i] >> j & 1]
+        through = 0
+        for j in below:
+            through |= down[j]
+        for j in below:
+            if through >> j & 1:
                 continue
+            t = nodes[j]
             drop = stratum_dims(s, ell).stratum_dim - stratum_dims(t, ell).stratum_dim
             flagged = drop == 1
             if flagged and not (ell == 2 and _is_two_split(t, s)):

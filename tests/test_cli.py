@@ -1,8 +1,10 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from tracealg.characters import character_table
 from tracealg.cli import main
@@ -253,11 +255,18 @@ def _pseudochar_argv(group, char):
     (_pseudochar_argv({**C2_GROUP, "table": [[0, 1], 1]}, C2_CHAR), "group.table[1]"),
     (_pseudochar_argv({**C2_GROUP, "order": [2]}, C2_CHAR), "group.order"),
     (_pseudochar_argv(C2_GROUP, {**C2_CHAR, "values": 2}), "pseudocharacter.values"),
+    (lambda tmp: ["algebra", "kernel", "--in",
+                  _write(tmp / "a.json", {**QQ_ALGEBRA, "basis": False})], "algebra.basis"),
+    (lambda tmp: ["algebra", "chdeg", "--in",
+                  _write(tmp / "a.json", {**QQ_ALGEBRA, "basis": ["u0"]})], "algebra.basis"),
+    (lambda tmp: ["algebra", "chdeg", "--in",
+                  _write(tmp / "a.json", {**QQ_ALGEBRA, "basis": [0, 1]})], "algebra.basis"),
 ], ids=["zero-denominator", "block-size", "algebra-not-object", "table-entry",
         "group-not-object", "degree-text", "degree-negative", "mul-not-list",
         "mul-row-not-list", "mul-cell-not-list", "dim-text", "unit-not-list",
         "trace-not-list", "blocks-not-list", "table-not-list", "table-row-not-list",
-        "order-not-integer", "values-not-list"])
+        "order-not-integer", "values-not-list", "basis-not-list", "basis-too-short",
+        "basis-not-strings"])
 def test_malformed_input_exits_2_naming_the_field(runner, tmp_path, argv, field):
     result = runner.invoke(main, argv(tmp_path))
     assert result.exit_code == 2, result.output
@@ -315,3 +324,113 @@ class TestOnevar:
         a = runner.invoke(main, ["onevar", "--weights", "1,2"]).output
         b = runner.invoke(main, ["onevar", "--weights", "1,2"]).output
         assert a == b
+
+
+# -- fuzzing the exit-code contract -------------------------------------------
+# Every input exits 0, 1 or 2 and never with a traceback.  Inputs stay small
+# (size <= 2, degree <= 6) so each example runs in milliseconds.
+
+EXPR_TOKENS = ["x", "x2", "x0", "y", "tr", "tr(", "(", ")", "+", "-", "*", "/",
+               "^", "^2", "1/2", "0", "3", "1/0", " ", ".", "tr(x)", "x*x"]
+BUILTINS = [f"builtin:{kind}{arg}" for kind in ("ch", "T")
+            for arg in ("", "0", "1", "2", "-1", "x", "1.5")]
+
+
+def _degree_bound(text):
+    """Letters times the product of the nonzero exponents: a bound on any
+    term's degree."""
+    bound = text.count("x")
+    for e in re.findall(r"\^\s*(\d+)", text):
+        bound *= max(int(e), 1)
+    return bound
+
+
+expressions = st.one_of(
+    st.lists(st.sampled_from(EXPR_TOKENS), max_size=7).map("".join),
+    st.sampled_from(BUILTINS),
+).filter(lambda text: _degree_bound(text) <= 6)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.sampled_from(["1", "1/2", "-1", "x", "1/0", "", 0.5]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["m", "k"]), inner, max_size=1),
+    max_leaves=6)
+DELETE = object()
+
+
+def _has(container, key):
+    if isinstance(key, int):
+        return isinstance(container, list) and key < len(container)
+    return isinstance(container, dict) and key in container
+
+
+def _mutations(base, nested_paths):
+    """base with some top-level fields replaced or deleted, some nested cells
+    replaced, or the whole document replaced by another JSON value."""
+    fields = st.dictionaries(st.sampled_from(sorted(base)),
+                             json_values | st.just(DELETE), max_size=2)
+    cells = st.lists(st.tuples(st.sampled_from(nested_paths), json_values), max_size=2)
+
+    def apply(change):
+        edits, cell_edits = change
+        doc = json.loads(json.dumps(base))
+        for path, value in cell_edits:
+            target = doc
+            for key in path[:-1]:
+                target = target[key] if _has(target, key) else None
+            if _has(target, path[-1]):
+                target[path[-1]] = value
+        for key, value in edits.items():
+            if value is DELETE:
+                doc.pop(key)
+            else:
+                doc[key] = value
+        return doc
+
+    return st.tuples(fields, cells).map(apply) | json_values
+
+
+QQ_BLOCKS = json.loads(dump_algebra(weighted_semisimple([(1, 1), (1, 1)])))
+ALGEBRA_PATHS = [("dim",), ("mul", 0), ("mul", 1, 0), ("mul", 0, 0, 0),
+                 ("mul", 0, 0, 0, 1), ("unit", 0), ("trace", 1), ("basis", 0),
+                 ("blocks", 0), ("blocks", 1, 0), ("blocks", 0, 1, 0)]
+GROUP_PATHS = [("table", 0), ("table", 1, 0), ("order",), ("identity",)]
+CHAR_PATHS = [("values", 0), ("values", 1), ("n",)]
+
+
+def _exits_cleanly(argv):
+    # catch_exceptions=False lets anything but SystemExit escape the runner
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert "Traceback" not in result.output
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(expressions)
+def test_fuzz_polarize(expr):
+    _exits_cleanly(["polarize", "--expr", expr])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(expressions, st.sampled_from([-1, 0, 1, 2]), st.sampled_from([0, 2]))
+def test_fuzz_verify(poly, size, trials):
+    _exits_cleanly(["verify", "--poly", poly, "--size", str(size),
+                    "--random", str(trials)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mutations(QQ_BLOCKS, ALGEBRA_PATHS),
+       st.sampled_from([["kernel"], ["chdeg", "--nmax", "2"], ["weights"],
+                        ["genrank", "--ell", "2"]]))
+def test_fuzz_algebra_loader(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("algebra") / "a.json"
+    path.write_text(json.dumps(doc))
+    _exits_cleanly(["algebra", *command, "--in", str(path)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mutations(C2_GROUP, GROUP_PATHS), _mutations(C2_CHAR, CHAR_PATHS))
+def test_fuzz_group_and_pseudochar_loaders(tmp_path_factory, group, char):
+    folder = tmp_path_factory.mktemp("pseudochar")
+    _exits_cleanly(_pseudochar_argv(group, char)(folder))

@@ -205,6 +205,25 @@ def test_cyc_rational_comparison_and_subtraction(m, a, b, r):
     assert (x - r).coeffs == (x + Cyc.rational(m, -r)).coeffs
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.lists(rationals, max_size=24),
+       st.lists(rationals, max_size=24), rationals)
+def test_cyc_linear_ops_match_the_reducing_constructor(m, a, b, r):
+    x, y = Cyc(m, a), Cyc(m, b)
+    cases = [
+        (x + y, [p + q for p, q in zip(x.coeffs, y.coeffs)]),
+        (x - y, [p - q for p, q in zip(x.coeffs, y.coeffs)]),
+        (-x, [-p for p in x.coeffs]),
+        (x + r, [p + q for p, q in zip(x.coeffs, Cyc.rational(m, r).coeffs)]),
+        (r - x, [q - p for p, q in zip(x.coeffs, Cyc.rational(m, r).coeffs)]),
+    ]
+    for got, raw in cases:
+        want = Cyc(m, raw)
+        assert got.m == m and got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got == want and hash(got) == hash(want)
+
+
 def _reference_report(p):
     """The scan as a plain permutation sum over every multiset in order."""
     g, n, values = p.group, p.degree, p.values

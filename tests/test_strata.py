@@ -1,5 +1,7 @@
 """Stratum-type combinatorics: enumeration, dimensions, closure order."""
+import hashlib
 import json
+from functools import lru_cache
 
 import pytest
 
@@ -63,7 +65,54 @@ class TestStratumDims:
             stratum_dims(T((2, 1)), 1)
 
 
+def reference_closure_leq(lower, upper):
+    """The exhaustive embedding search, kept as the oracle for closure_leq."""
+    up = upper.pairs
+    low = lower.pairs
+    k_low = len(low)
+
+    # all ways to write m as a nonnegative combination of the lower sizes
+    @lru_cache(maxsize=None)
+    def row_options(m):
+        opts = []
+
+        def rec(j, remaining, row):
+            if j == k_low:
+                if remaining == 0:
+                    opts.append(tuple(row))
+                return
+            size = low[j][0]
+            for count in range(remaining // size + 1):
+                rec(j + 1, remaining - count * size, row + [count])
+
+        rec(0, m, [])
+        return opts
+
+    target = tuple(a for _, a in low)
+
+    def search(i, col_sums):
+        if i == len(up):
+            return col_sums == target
+        m_i, a_i = up[i]
+        for row in row_options(m_i):
+            new_sums = tuple(c + a_i * r for c, r in zip(col_sums, row))
+            if all(c <= t for c, t in zip(new_sums, target)):
+                if search(i + 1, new_sums):
+                    return True
+        return False
+
+    return search(0, tuple([0] * k_low))
+
+
 class TestClosureLeq:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_exhaustive_search(self, n):
+        types = enumerate_types(n)
+        for upper in types:
+            for lower in types:
+                assert closure_leq(lower, upper, n) == \
+                    reference_closure_leq(lower, upper), (lower, upper)
+
     def test_diagonal_inside_full(self):
         assert closure_leq(T((1, 1), (1, 1)), T((2, 1)))
 
@@ -113,7 +162,7 @@ class TestMaximalDegenerations:
     def test_split_at_higher_ell(self):
         assert maximal_degenerations(T((2, 1)), 3) == [(T((1, 1), (1, 1)), 3)]
 
-    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_moves_are_exactly_the_covers(self, n):
         poset = stratification_poset(n, 2)
         covers = {(e.lower, e.upper): e.codim for e in poset.covers}
@@ -170,6 +219,15 @@ class TestStratificationPoset:
         assert dot.startswith("digraph strata")
         assert '"1/1+1/1" -> "2/1"' in dot
         assert "color=red" in dot
+
+    @pytest.mark.parametrize("ell, digest", [
+        # the strata.n8 json_sha256 entries of perfbench/answer_key.json
+        (2, "a17ff7bf3179840432001de6b69c9e93a5dbce9118ef087713f14406f6cfc4bc"),
+        (3, "8d1718bad812d360d69d3c1af40b87848de8e77e9f87fb17367c9d1d99955ea5"),
+    ], ids=["ell2", "ell3"])
+    def test_n8_json_is_pinned(self, ell, digest):
+        text = stratification_poset(8, ell).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_json_output(self):
         data = json.loads(stratification_poset(2, 2).to_json())
