@@ -2,7 +2,7 @@
 
 Elements are polynomials in zeta_m with Fraction coefficients, reduced
 modulo the m-th cyclotomic polynomial.  Just enough ring structure for
-character values: add, multiply, compare, conjugate, divide by rationals.
+character values: add, multiply, compare, divide by rationals.
 """
 from __future__ import annotations
 
@@ -41,6 +41,21 @@ def _exact_div(num, den):
     return out
 
 
+def _reduce(m: int, work: list) -> tuple:
+    """The Fractions ``work`` reduced modulo Phi_m (monic), padded to its
+    degree; ``work`` is overwritten."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    for i in range(len(work) - 1, deg - 1, -1):
+        q = work[i]
+        if q:
+            for j, c in enumerate(phi):
+                work[i - deg + j] -= q * c
+    work = work[:deg]
+    work += [Fraction(0)] * (deg - len(work))
+    return tuple(work)
+
+
 class Cyc:
     """An element of Q(zeta_m)."""
 
@@ -48,25 +63,15 @@ class Cyc:
 
     def __init__(self, m: int, coeffs):
         self.m = m
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        work = [Fraction(c) for c in coeffs]
-        # reduce modulo Phi_m (monic)
-        for i in range(len(work) - 1, deg - 1, -1):
-            q = work[i]
-            if q:
-                for j, c in enumerate(phi):
-                    work[i - deg + j] -= q * c
-        work = work[:deg]
-        work += [Fraction(0)] * (deg - len(work))
-        self.coeffs = tuple(work)
+        self.coeffs = _reduce(m, [Fraction(c) for c in coeffs])
 
     @classmethod
     def _reduced(cls, m: int, coeffs: tuple) -> "Cyc":
         """A Cyc from a tuple of Fractions already reduced modulo Phi_m.
 
         Sums, differences and negations of reduced elements are reduced, so
-        they skip the re-wrapping and the reduction of the constructor.
+        they skip the re-wrapping and the reduction of the constructor;
+        products reduce their own Fractions.
         """
         out = object.__new__(cls)
         out.m = m
@@ -125,7 +130,7 @@ class Cyc:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] += a * b
-        return Cyc(self.m, out)
+        return Cyc._reduced(self.m, _reduce(self.m, out))
 
     __rmul__ = __mul__
 
@@ -149,14 +154,6 @@ class Cyc:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation, zeta -> zeta^(m-1)."""
-        out = Cyc.rational(self.m, 0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out = out + c * Cyc.root(self.m, (-i) % self.m)
-        return out
 
     def as_rational(self):
         """The Fraction value if the element is rational, else None."""

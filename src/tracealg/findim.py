@@ -93,7 +93,12 @@ class WeightedType:
 
 @dataclass(frozen=True)
 class TraceAlgebra:
-    """Associative algebra with an F-valued trace, all data exact rationals."""
+    """Associative algebra with an F-valued trace.
+
+    The structure constants, unit and trace are exact rationals.  Elements
+    are coordinate vectors; ``multiply`` and ``word_value`` take coordinates
+    in ``Fraction``, ``int`` or ``MPoly`` (generic elements).
+    """
 
     dim: int
     labels: tuple
@@ -104,17 +109,34 @@ class TraceAlgebra:
 
     # -- element arithmetic (coordinate vectors) -----------------------------
     def multiply(self, x, y):
-        out = [Fraction(0)] * self.dim
+        """Product of coordinate vectors over any ring holding the rational
+        structure constants: ``Fraction``, ``int`` or ``MPoly`` coordinates.
+        The result starts from the zero of the inputs' own type, which each
+        of these types builds when called with no argument."""
+        out = [type(x[0])()] * self.dim
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
             row = self.mul[i]
             for j, yj in enumerate(y):
-                if yj == 0:
+                if not yj:
                     continue
+                xy = xi * yj
                 for k, c in row[j]:
-                    out[k] += xi * yj * c
+                    out[k] += xy * c
         return tuple(out)
+
+    def word_value(self, w, letters, cache):
+        """The product letters[w[0]] ... letters[w[-1]], memoized on prefixes.
+
+        ``letters`` is indexed by variable number; ``cache`` maps () to the
+        unit in the letters' coordinate ring and collects every prefix.
+        """
+        got = cache.get(w)
+        if got is None:
+            got = self.multiply(self.word_value(w[:-1], letters, cache), letters[w[-1]])
+            cache[w] = got
+        return got
 
     def trace_of(self, x) -> Fraction:
         return sum((xi * t for xi, t in zip(x, self.trace_vector) if xi), Fraction(0))
@@ -126,11 +148,9 @@ class TraceAlgebra:
     def trace_of_unit(self) -> Fraction:
         return self.trace_of(self.unit)
 
-    def gram_matrix(self):
-        """G[i][j] = t(u_i u_j), the matrix of the trace form."""
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        return [[self.trace_of(self.multiply(basis[i], basis[j]))
-                 for j in range(self.dim)] for i in range(self.dim)]
+    def gram_matrix(self, vectors):
+        """G[i][j] = t(v_i v_j), the trace form on the given vectors."""
+        return [[self.trace_of(self.multiply(x, y)) for y in vectors] for x in vectors]
 
     def element_is_nilpotent(self, x, max_power=None):
         """Smallest k <= max_power with x^k = 0, or None."""
@@ -253,9 +273,8 @@ def trace_kernel(a: TraceAlgebra) -> Subspace:
 
     The result is checked to be a two-sided ideal closed under trace.
     """
-    gram = a.gram_matrix()
-    kernel = Subspace.from_vectors(a.dim, linalg.nullspace(gram))
     basis = [a.basis_vector(i) for i in range(a.dim)]
+    kernel = Subspace.from_vectors(a.dim, linalg.nullspace(a.gram_matrix(basis)))
     for row in kernel.rows:
         if a.trace_of(row) != 0:
             raise AssertionError("trace kernel is not trace-stable")
@@ -332,23 +351,10 @@ def quotient_algebra(a: TraceAlgebra, ideal: Subspace):
                     v[j] -= f * row[j]
         return tuple(v[j] for j in free)
 
-    def lift(small):
-        v = [Fraction(0)] * a.dim
-        for val, j in zip(small, free):
-            v[j] = val
-        return tuple(v)
-
-    d = len(free)
-    mul = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod_vec = a.multiply(lift([Fraction(1) if t == i else Fraction(0) for t in range(d)]),
-                                  lift([Fraction(1) if t == j else Fraction(0) for t in range(d)]))
-            mul[i][j] = list(project(prod_vec))
-    unit = project(a.unit)
-    trace = [a.trace_of(lift([Fraction(1) if t == i else Fraction(0) for t in range(d)]))
-             for i in range(d)]
-    quotient = make_algebra(mul, unit, trace,
+    basis = [a.basis_vector(j) for j in free]
+    mul = [[list(project(a.multiply(x, y))) for y in basis] for x in basis]
+    trace = [a.trace_vector[j] for j in free]
+    quotient = make_algebra(mul, project(a.unit), trace,
                             labels=tuple(a.labels[j] for j in free), validate=False)
     return quotient, project
 
@@ -361,24 +367,16 @@ def evaluate_on_algebra(p: TracePoly, a: TraceAlgebra, assignment):
     tr(1) evaluates to t(1) of the algebra.
     """
     cache = {(): a.unit}
-
-    def word_value(w):
-        got = cache.get(w)
-        if got is None:
-            got = a.multiply(word_value(w[:-1]), assignment[w[-1]])
-            cache[w] = got
-        return got
-
     total = [Fraction(0)] * a.dim
     for (w, traces), c in p.terms.items():
         scalar = c
         for t in traces:
-            scalar *= a.trace_of_unit if not t else a.trace_of(word_value(t))
+            scalar *= a.trace_of(a.word_value(t, assignment, cache))
             if scalar == 0:
                 break
         if scalar == 0:
             continue
-        wv = word_value(w)
+        wv = a.word_value(w, assignment, cache)
         for k in range(a.dim):
             total[k] += scalar * wv[k]
     return tuple(total)

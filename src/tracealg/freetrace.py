@@ -161,17 +161,6 @@ class TracePoly(SparsePoly):
         return TracePoly.sum((c, image(w, traces)) for (w, traces), c in self.terms.items())
 
     # -- term inspection ----------------------------------------------------
-    def is_pure_trace(self) -> bool:
-        return all(not w for (w, _) in self.terms)
-
-    def degree_in(self, i: int) -> int:
-        """Largest occurrence count of variable i over all monomials."""
-        best = 0
-        for (w, traces) in self.terms:
-            d = w.count(i) + sum(t.count(i) for t in traces)
-            best = max(best, d)
-        return best
-
     def term_degrees(self):
         """Set of total degrees (word letters plus trace letters) of terms."""
         return {len(w) + sum(len(t) for t in traces) for (w, traces) in self.terms}

@@ -70,16 +70,14 @@ class _RankEngine:
         self.slack = slack
         self.rng = random.Random(seed)
         d = algebra.dim
-        self.generic_symbolic = [
-            tuple(MPoly.var(generic_element_name(i, j)) for j in range(d))
+        self.generic_symbolic = {
+            i: tuple(MPoly.var(generic_element_name(i, j)) for j in range(d))
             for i in range(1, ell + 1)
-        ]
-        self.var_names = [generic_element_name(i, j)
-                          for i in range(1, ell + 1) for j in range(d)]
+        }
         self.symbolic_words = {(): tuple(MPoly.const(c) for c in algebra.unit)}
         self.symbolic_traces = {}
         self.trace_piece_cache = {}
-        self.points = []            # per point: generic elements as Fraction vectors
+        self.points = []            # per point: letter -> generic element as Fraction vector
         self.point_words = []       # per point: word -> Fraction vector
         self.point_traces = []      # per point: multiset -> Fraction
         for _ in range(4):
@@ -88,19 +86,13 @@ class _RankEngine:
     # -- specialization points -------------------------------------------------
     def _add_point(self):
         d = self.a.dim
-        gens = [tuple(Fraction(self.rng.randint(-9, 9)) for _ in range(d))
-                for _ in range(self.ell)]
-        self.points.append(gens)
+        self.points.append({i: tuple(Fraction(self.rng.randint(-9, 9)) for _ in range(d))
+                            for i in range(1, self.ell + 1)})
         self.point_words.append({(): self.a.unit})
         self.point_traces.append({})
 
     def word_at(self, w, p: int):
-        cache = self.point_words[p]
-        got = cache.get(w)
-        if got is None:
-            got = self.a.multiply(self.word_at(w[:-1], p), self.points[p][w[-1] - 1])
-            cache[w] = got
-        return got
+        return self.a.word_value(w, self.points[p], self.point_words[p])
 
     def trace_at(self, cyc, p: int) -> Fraction:
         return self.a.trace_of(self.word_at(cyc, p))
@@ -116,37 +108,13 @@ class _RankEngine:
         return got
 
     # -- symbolic values (only used to verify candidate relations) -------------
-    def _mul_symbolic(self, x, y):
-        d = self.a.dim
-        out = [{} for _ in range(d)]
-        for i in range(d):
-            xi = x[i]
-            if xi.is_zero():
-                continue
-            row = self.a.mul[i]
-            for j in range(d):
-                yj = y[j]
-                if yj.is_zero():
-                    continue
-                for k, c in row[j]:
-                    MPoly.add_product(out[k], xi, yj, c)
-        return tuple(MPoly(t) for t in out)
-
     def symbolic_word(self, w):
-        got = self.symbolic_words.get(w)
-        if got is None:
-            got = self._mul_symbolic(self.symbolic_word(w[:-1]),
-                                     self.generic_symbolic[w[-1] - 1])
-            self.symbolic_words[w] = got
-        return got
+        return self.a.word_value(w, self.generic_symbolic, self.symbolic_words)
 
     def symbolic_trace(self, cyc) -> MPoly:
         got = self.symbolic_traces.get(cyc)
         if got is None:
-            vec = self.symbolic_word(cyc)
-            got = MPoly.sum((t, vec[i]) for i, t in enumerate(self.a.trace_vector)
-                            if t != 0)
-            self.symbolic_traces[cyc] = got
+            got = self.symbolic_traces[cyc] = self.a.trace_of(self.symbolic_word(cyc))
         return got
 
     # -- trace-ring graded pieces ----------------------------------------------
@@ -203,9 +171,7 @@ class _RankEngine:
             vecs = [self.word_at(b, p) for b in basis_words]
             if linalg.rank([list(v) for v in vecs]) != d:
                 continue
-            gram = [[self.a.trace_of(self.a.multiply(vecs[i], vecs[j]))
-                     for j in range(d)] for i in range(d)]
-            if linalg.rank(gram) == d:
+            if linalg.rank(self.a.gram_matrix(vecs)) == d:
                 return True
         return False
 

@@ -15,10 +15,11 @@ pseudo-representation recursion of Taylor (1991) and Chenevier (2014),
                                       - sum_i T_k(x_1,..,x_i x_{k+1},..,x_k),
 
 which splits S_{k+1} by whether k+1 is fixed or follows i in its cycle.
-For a class function T_k is symmetric in its arguments, so its values are
-memoized on sorted multisets and shared by every tuple of the scan.  A table
-that fails axiom 2 is not a class function; its scan evaluates each tuple
-with ``multilinear_trace_sum`` instead.
+Each cycle product starts at its least index, which is k+1 only when k+1 is
+fixed, so the recursion holds for every table on ordered tuples.  The scan
+memoizes its values for every table: for a class function T_k is symmetric
+in its arguments, so the memo keys are sorted multisets; for a table that
+fails axiom 2 they are the ordered tuples as given.
 """
 from __future__ import annotations
 
@@ -216,18 +217,21 @@ def multilinear_trace_sum(group: FiniteGroup, values, elements) -> object:
     return total
 
 
-def class_function_trace_sum(group: FiniteGroup, values, elements, memo: dict):
-    """T_k on the multiset of ``elements`` by the recursion, for a class
-    function ``values``; equals ``multilinear_trace_sum`` there.
+def _recursive_trace_sum(group: FiniteGroup, values, elements, memo: dict,
+                         class_function: bool):
+    """T_k on ``elements`` by the recursion; equals ``multilinear_trace_sum``.
 
-    ``memo`` maps sorted tuples to T_k values and is filled as a side effect;
-    pass the same dict to share work between calls on the same table.  The
+    ``memo`` maps tuples to T_k values and is filled as a side effect; pass
+    the same dict, with the same ``class_function``, to share work between
+    calls on the same table.  For a class function ``values`` the keys are
+    sorted tuples and equal elements are expanded once, with their
+    multiplicity; otherwise the keys are the tuples in the order given.  The
     recursion runs on an explicit stack, so its depth is not bounded by
     Python's recursion limit.
     """
     table = group.table
     memo.setdefault((), 1)
-    top = tuple(sorted(elements))
+    top = tuple(sorted(elements)) if class_function else tuple(elements)
     stack = [(top, None)]
     while stack:
         key, merged = stack.pop()
@@ -238,14 +242,16 @@ def class_function_trace_sum(group: FiniteGroup, values, elements, memo: dict):
                 memo[key] = values[key[0]]
                 continue
             # T(key) = t(x) T(rest) - sum_i T(rest with rest[i] replaced by
-            # rest[i] x); equal elements of rest give equal terms
+            # rest[i] x)
             rest, x = key[:-1], key[-1]
             merged = []
             for i, y in enumerate(rest):
-                if i and rest[i - 1] == y:
-                    continue
-                child = tuple(sorted(rest[:i] + rest[i + 1:] + (table[y][x],)))
-                merged.append((rest.count(y), child))
+                if not class_function:
+                    merged.append((1, rest[:i] + (table[y][x],) + rest[i + 1:]))
+                elif not (i and rest[i - 1] == y):
+                    # equal elements of a sorted rest give equal terms
+                    child = tuple(sorted(rest[:i] + rest[i + 1:] + (table[y][x],)))
+                    merged.append((rest.count(y), child))
             stack.append((key, merged))
             stack.extend((child, None) for child in [rest] + [c for _, c in merged]
                          if child not in memo)
@@ -268,13 +274,13 @@ def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
     is the least one; larger inputs fall back to a clearly labeled random
     sample.  The scan stops at the first multiset where T_{n+1} is nonzero.
 
-    When axiom 2 holds, t is a class function and T_{n+1} comes from the
-    recursion ``class_function_trace_sum`` with one memo for the whole scan;
-    ``memo_states`` counts the T_k values it stored.  When axiom 2 fails, the
-    memo on sorted multisets would be unsound, so each multiset is evaluated
-    by ``multilinear_trace_sum`` and ``memo_states`` stays 0.  The two
-    evaluators agree on class functions, so the verdicts, counts and
-    witnesses do not depend on which one ran.
+    T_{n+1} comes from ``_recursive_trace_sum`` with one memo for the whole
+    scan, and ``memo_states`` counts the T_k values it stored.  When axiom 2
+    holds, t is a class function and the memo is keyed on sorted multisets;
+    when it fails, a sorted key would be unsound, so the memo is keyed on the
+    tuples as given.  The recursion equals ``multilinear_trace_sum`` on every
+    table, so the verdicts, counts and witnesses are those of the
+    permutation sum.
     """
     g, n, values = p.group, p.degree, p.values
     if n < 0:
@@ -306,16 +312,11 @@ def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
     else:
         candidates = combinations_with_replacement(range(g.order), n + 1)
     memo = {}
-    if report.axiom2_ok:
-        # integral values as int: the recursion's sums then avoid Fraction
-        values = [exact(v) if isinstance(v, (int, Fraction)) else v for v in values]
+    # integral values as int: the recursion's sums then avoid Fraction
+    values = [exact(v) if isinstance(v, (int, Fraction)) else v for v in values]
     for elems in candidates:
         report.tuples_checked += 1
-        if report.axiom2_ok:
-            value = class_function_trace_sum(g, values, elems, memo)
-        else:
-            value = multilinear_trace_sum(g, values, elems)
-        if value != 0:
+        if _recursive_trace_sum(g, values, elems, memo, report.axiom2_ok) != 0:
             report.axiom3_ok = False
             report.axiom3_witness = elems
             break

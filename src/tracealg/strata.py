@@ -211,9 +211,6 @@ class StrataPoset:
     def flagged_edges(self):
         return [e for e in self.covers if e.flagged]
 
-    def leq(self, lower: StratumType, upper: StratumType) -> bool:
-        return closure_leq(lower, upper, self.n)
-
     def to_dot(self) -> str:
         lines = ["digraph strata {", "  rankdir=BT;"]
         for s in self.nodes:

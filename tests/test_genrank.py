@@ -1,8 +1,14 @@
 """Generic-element algebra ranks over the trace fraction field."""
-import pytest
+from fractions import Fraction
 
-from tracealg.findim import dual_numbers, make_algebra, weighted_semisimple
-from tracealg.genrank import generic_algebra_rank
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tracealg.characters import character_table
+from tracealg.findim import (dual_numbers, make_algebra, quotient_algebra,
+                             trace_kernel, weighted_semisimple)
+from tracealg.genrank import _RankEngine, generic_algebra_rank, generic_element_name
+from tracealg.pseudochar import PseudoCharTable, group_algebra, symmetric_group_3
 from tracealg.strata import enumerate_types
 
 
@@ -73,3 +79,48 @@ class TestReportShape:
         r2 = generic_algebra_rank(dual_numbers(), 2, seed=5)
         assert r1.basis_words == r2.basis_words
         assert r1.rank == r2.rank
+
+
+# -- one structure-constant product for every coefficient ring ----------------
+
+def _s3_quotient():
+    """Q[S3] with the trace of its 2-dimensional character, modulo the trace
+    kernel: a 4-dimensional algebra whose unit is not a basis vector and
+    whose structure constants include -1."""
+    s3 = symmetric_group_3()
+    chi = next(c for c in character_table(s3) if c[s3.identity] == 2)
+    a = group_algebra(PseudoCharTable(s3, 2, tuple(chi)))
+    return quotient_algebra(a, trace_kernel(a))[0]
+
+
+PRODUCT_ALGEBRAS = {
+    "dual": dual_numbers(),
+    "M2": weighted_semisimple([(2, 1)]),
+    "Q+M2w2": weighted_semisimple([(1, 1), (2, 2)]),
+    "S3 quotient": _s3_quotient(),
+    # tests/test_findim.py's strange trace, which fails every CH identity
+    "strange": make_algebra([[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                            unit=[1, 0], trace_vector=[2, 1]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_ALGEBRAS)),
+       st.lists(st.lists(st.integers(1, 2), max_size=4), min_size=1, max_size=3),
+       st.integers(0, 3), st.data())
+def test_one_product_for_every_coefficient_ring(name, words, p, data):
+    """The symbolic word of generic elements, specialized, is the word of
+    the specialized elements; ``int`` and ``Fraction`` coordinates give
+    equal products."""
+    algebra = PRODUCT_ALGEBRAS[name]
+    engine = _RankEngine(algebra, 2, seed=p, slack=0)
+    point = {generic_element_name(i, j): c
+             for i, gen in engine.points[p].items() for j, c in enumerate(gen)}
+    for w in map(tuple, words):
+        specialized = tuple(c.evaluate(point) for c in engine.symbolic_word(w))
+        assert specialized == engine.word_at(w, p)
+        assert engine.symbolic_trace(w).evaluate(point) == engine.trace_at(w, p)
+    coords = st.lists(st.integers(-5, 5), min_size=algebra.dim, max_size=algebra.dim)
+    x, y = data.draw(coords), data.draw(coords)
+    assert algebra.multiply(x, y) == \
+        algebra.multiply([Fraction(c) for c in x], [Fraction(c) for c in y])

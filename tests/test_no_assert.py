@@ -1,14 +1,16 @@
 """Lints over the library sources.
 
-Library checks must survive ``python -O``, which strips ``assert``, and no
-module imports a name it never uses.
+Library checks must survive ``python -O``, which strips ``assert``, no
+module imports a name it never uses, and every function is referenced
+somewhere.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "tracealg").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "tracealg").glob("*.py"))
 
 
 def test_sources_found():
@@ -50,3 +52,37 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _imported_names(tree).keys() - _referenced_names(tree)
     assert not unused, f"{path.name}: unused import(s) {sorted(unused)}"
+
+
+def _is_cli_command(node):
+    """True for a function registered by a click decorator (``@x.command``
+    or ``@x.group``); click calls it, so no reference names it."""
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(func, ast.Attribute) and func.attr in ("command", "group"):
+            return True
+    return False
+
+
+def test_no_dead_definitions():
+    """Every function and method defined in the library is referenced in
+    ``src/``, ``tests/`` or ``perfbench/``: by a name, an attribute or a
+    string constant.  Dunders and click commands are exempt."""
+    referenced = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                 *(ROOT / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    dead = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and not _is_cli_command(node) and node.name not in referenced):
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, f"defined but never referenced: {dead}"

@@ -13,9 +13,8 @@ from tracealg.cyclotomic import Cyc
 from tracealg.findim import ch_degree, trace_kernel
 from tracealg.pseudochar import (FiniteGroup, GroupValidationError,
                                  PseudoCharTable, PseudoCheckReport,
-                                 check_pseudocharacter,
-                                 class_function_trace_sum, cyclic_group,
-                                 dihedral_group, direct_product,
+                                 _recursive_trace_sum, check_pseudocharacter,
+                                 cyclic_group, dihedral_group, direct_product,
                                  group_algebra, klein_four_group, make_group,
                                  multilinear_trace_sum, pseudochar_kernel,
                                  quaternion_group, symmetric_group_3)
@@ -168,26 +167,33 @@ def _character_rows(name):
 
 
 @st.composite
-def class_function_multisets(draw):
-    """A group, an integer combination of its characters (Cyc-valued on
-    C3, C4 and C5) and a few multisets of at most 5 elements."""
+def tables_and_tuples(draw):
+    """A group, a table and a few tuples of at most 5 elements.  The table is
+    an integer combination of the characters (Cyc-valued on C3, C4 and C5),
+    or on the non-abelian groups an arbitrary integer table, which is not a
+    class function; its tuples are then taken in the order drawn."""
     name = draw(st.sampled_from(sorted(ORACLE_GROUPS)))
     group, rows = ORACLE_GROUPS[name], _character_rows(name)
-    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-    values = tuple(sum((c * row[e] for c, row in zip(coeffs, rows)), Fraction(0))
-                   for e in range(group.order))
+    class_function = name in ("C3", "C4", "C5") or draw(st.booleans())
+    if class_function:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        values = tuple(sum((c * row[e] for c, row in zip(coeffs, rows)), Fraction(0))
+                       for e in range(group.order))
+    else:
+        values = tuple(draw(st.lists(st.integers(-3, 3), min_size=group.order,
+                                     max_size=group.order)))
     tuples = draw(st.lists(st.lists(st.integers(0, group.order - 1), max_size=5),
                            min_size=1, max_size=3))
-    return group, values, [tuple(t) for t in tuples]
+    return group, values, class_function, [tuple(t) for t in tuples]
 
 
-@settings(max_examples=150, deadline=None)
-@given(class_function_multisets())
+@settings(max_examples=300, deadline=None)
+@given(tables_and_tuples())
 def test_recursion_matches_permutation_sum(case):
-    group, values, tuples = case
+    group, values, class_function, tuples = case
     memo = {}  # shared, as in one scan
     for elements in tuples:
-        assert class_function_trace_sum(group, values, elements, memo) == \
+        assert _recursive_trace_sum(group, values, elements, memo, class_function) == \
             multilinear_trace_sum(group, values, elements)
 
 
@@ -216,6 +222,9 @@ def test_cyc_linear_ops_match_the_reducing_constructor(m, a, b, r):
         (-x, [-p for p in x.coeffs]),
         (x + r, [p + q for p, q in zip(x.coeffs, Cyc.rational(m, r).coeffs)]),
         (r - x, [q - p for p, q in zip(x.coeffs, Cyc.rational(m, r).coeffs)]),
+        (x * y, [sum((x.coeffs[i] * y.coeffs[k - i] for i in range(len(x.coeffs))
+                      if 0 <= k - i < len(y.coeffs)), Fraction(0))
+                 for k in range(2 * len(x.coeffs))]),
     ]
     for got, raw in cases:
         want = Cyc(m, raw)
@@ -262,8 +271,8 @@ class TestRecursiveScan:
             for p in _characters_and_perturbations(group):
                 report = check_pseudocharacter(p)
                 assert replace(report, memo_states=0) == _reference_report(p), (name, p.values)
-                # the memo is used exactly when t is a class function
-                assert (report.memo_states > 0) == report.axiom2_ok, (name, p.values)
+                # every scan goes through the memo, class function or not
+                assert report.tuples_checked and report.memo_states > 0, (name, p.values)
 
     def test_int_values_match_fractions(self):
         for name, group in all_groups_up_to_8().items():
