@@ -20,10 +20,6 @@ def _psi(j: int) -> MPoly:
     return MPoly.var(f"psi{j}")
 
 
-def _e(j: int) -> MPoly:
-    return MPoly.var(f"e{j}")
-
-
 @lru_cache(maxsize=None)
 def elementary_from_powersums(k: int) -> MPoly:
     """e_k as a polynomial in the power sums psi_1..psi_k.
@@ -40,21 +36,6 @@ def elementary_from_powersums(k: int) -> MPoly:
     for i in range(1, m + 1):
         MPoly.add_product(terms, _psi(i), elementary_from_powersums(m + 1 - i),
                           Fraction((-1) ** (i - 1), m + 1))
-    return MPoly(terms)
-
-
-@lru_cache(maxsize=None)
-def powersums_from_elementary(k: int) -> MPoly:
-    """psi_k as a polynomial in e_1..e_k (the recursion solved the other way)."""
-    if k <= 0:
-        raise ValueError("k must be a positive integer")
-    if k == 1:
-        return _e(1)
-    m = k - 1
-    terms = dict(((-1) ** m * (m + 1) * _e(m + 1)).terms)
-    for i in range(1, m + 1):
-        MPoly.add_product(terms, powersums_from_elementary(i), _e(m + 1 - i),
-                          (-1) ** (m + i))
     return MPoly(terms)
 
 

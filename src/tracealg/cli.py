@@ -38,13 +38,22 @@ def chpoly(n):
     click.echo(chident.ch_poly(n).render({1: "x"}))
 
 
+# polarize writes k! terms per term of degree k: 40320 at 8, 479001600 at 12
+POLARIZE_MAX_DEGREE = 8
+
+
 @main.command()
 @click.option("--expr", required=True,
-              help="One-variable homogeneous expression, e.g. 'x^2 - tr(x)*x'.")
+              help="One-variable homogeneous expression, e.g. 'x^2 - tr(x)*x', "
+                   f"of degree at most {POLARIZE_MAX_DEGREE}.")
 def polarize(expr):
     """Print the full polarization (multilinear form) of an expression."""
     try:
         p = parse_trace_poly(expr)
+        degree = max(p.term_degrees(), default=0)
+        if degree > POLARIZE_MAX_DEGREE:
+            _fail_usage(f"--expr: degree {degree} is above the bound "
+                        f"{POLARIZE_MAX_DEGREE} (the form would have {degree}! terms)")
         result = chident.polarize(p)
     except ValueError as exc:
         _fail_usage(f"--expr: {exc}")

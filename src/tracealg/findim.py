@@ -13,8 +13,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .chident import ch_multilinear
-from .freetrace import TracePoly
 
 
 class AlgebraValidationError(ValueError):
@@ -361,39 +359,39 @@ def quotient_algebra(a: TraceAlgebra, ideal: Subspace):
 
 # -- Cayley-Hamilton degree ----------------------------------------------------
 
-def evaluate_on_algebra(p: TracePoly, a: TraceAlgebra, assignment):
-    """Evaluate a trace polynomial with variables sent to algebra elements.
-
-    tr(1) evaluates to t(1) of the algebra.
-    """
-    cache = {(): a.unit}
-    total = [Fraction(0)] * a.dim
-    for (w, traces), c in p.terms.items():
-        scalar = c
-        for t in traces:
-            scalar *= a.trace_of(a.word_value(t, assignment, cache))
-            if scalar == 0:
-                break
-        if scalar == 0:
-            continue
-        wv = a.word_value(w, assignment, cache)
-        for k in range(a.dim):
-            total[k] += scalar * wv[k]
-    return tuple(total)
-
-
 def ch_identity_failure(a: TraceAlgebra, n: int):
     """Least basis multiset where the multilinear degree-n identity fails.
 
     The identity is multilinear and symmetric, so testing basis multisets is
-    equivalent to testing all basis tuples.
+    equivalent to testing all basis tuples.  On a multiset S it equals
+    (-1)^|S| P(S), by the pseudo-representation recursion (Procesi 1987;
+    Chenevier 2014): P(()) = 1 and, with j the last element of S,
+
+        P(S) = t(P(S - j) u_j) 1 - sum_{i in S} u_i P(S - i).
+
+    P is built one multiset size at a time; equal elements of S give equal
+    terms, so each distinct i is expanded once, times its multiplicity.
     """
-    poly = ch_multilinear(n)
-    for combo in combinations_with_replacement(range(a.dim), n):
-        assignment = {i + 1: a.basis_vector(b) for i, b in enumerate(combo)}
-        value = evaluate_on_algebra(poly, a, assignment)
-        if any(c != 0 for c in value):
-            return combo
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    layer = {(): a.unit}
+    for k in range(1, n + 1):
+        previous, layer = layer, {}
+        for s in combinations_with_replacement(range(a.dim), k):
+            t = a.trace_of(a.multiply(previous[s[:-1]], basis[s[-1]]))
+            value = [t * c for c in a.unit]
+            for pos, i in enumerate(s):
+                if pos and s[pos - 1] == i:
+                    continue
+                m = s.count(i)
+                for q, c in enumerate(a.multiply(basis[i], previous[s[:pos] + s[pos + 1:]])):
+                    if c:
+                        value[q] -= m * c
+            if k < n:
+                layer[s] = tuple(value)
+            elif any(value):
+                return s
     return None
 
 

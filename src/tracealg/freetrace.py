@@ -229,10 +229,6 @@ def _monomial_str(w: Word, traces, var_names=None) -> str:
 
 # -- module-level operation aliases ------------------------------------------
 
-def mul(p: TracePoly, q: TracePoly) -> TracePoly:
-    return p * q
-
-
 def formal_trace(p: TracePoly) -> TracePoly:
     return p.trace()
 

@@ -6,9 +6,8 @@ from itertools import permutations
 import pytest
 
 from tracealg.chident import (PermCycles, ch_multilinear, ch_poly,
-                              elementary_from_powersums, polarize,
-                              powersums_from_elementary, restitute, sigma,
-                              t_multilinear, t_sigma)
+                              elementary_from_powersums, polarize, restitute,
+                              sigma, t_multilinear, t_sigma)
 from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
 from tracealg.mpoly import MPoly
 
@@ -47,13 +46,6 @@ class TestNewtonRecursion:
         psi, e = eval_symmetric(values)
         point = {f"psi{j}": psi[j] for j in range(1, k + 1)}
         assert elementary_from_powersums(k).evaluate(point) == e[k]
-
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_roundtrip_powersum_of_elementary(self, k):
-        # substitute e_i(psi) into psi_k(e) and get psi_k back
-        expr = powersums_from_elementary(k)
-        subs = {f"e{i}": elementary_from_powersums(i) for i in range(1, k + 1)}
-        assert expr.substitute(subs) == MPoly.var(f"psi{k}")
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,17 @@ class TestPolarize:
         result = runner.invoke(main, ["polarize", "--expr", "x + x^2"])
         assert result.exit_code == 2
 
+    def test_degree_above_the_bound_is_refused_up_front(self, runner):
+        # x^12 would need 12! (about 479 million) terms
+        result = runner.invoke(main, ["polarize", "--expr", "x^12"])
+        assert result.exit_code == 2
+        assert "degree 12 is above the bound 8" in result.output
+
+    def test_degree_at_the_bound_runs(self, runner):
+        result = runner.invoke(main, ["polarize", "--expr", "tr(x^8)"])
+        assert result.exit_code == 0
+        assert result.output.count("tr(") == 5040  # 8!/8 cyclic classes
+
 
 class TestVerify:
     def test_identity_exit_zero(self, runner):
@@ -328,7 +339,8 @@ class TestOnevar:
 
 # -- fuzzing the exit-code contract -------------------------------------------
 # Every input exits 0, 1 or 2 and never with a traceback.  Inputs stay small
-# (size <= 2, degree <= 6) so each example runs in milliseconds.
+# (size <= 2, degree <= 6; degree <= 8, the documented bound, for polarize)
+# so each example runs in milliseconds.
 
 EXPR_TOKENS = ["x", "x2", "x0", "y", "tr", "tr(", "(", ")", "+", "-", "*", "/",
                "^", "^2", "1/2", "0", "3", "1/0", " ", ".", "tr(x)", "x*x"]
@@ -345,10 +357,20 @@ def _degree_bound(text):
     return bound
 
 
-expressions = st.one_of(
-    st.lists(st.sampled_from(EXPR_TOKENS), max_size=7).map("".join),
-    st.sampled_from(BUILTINS),
-).filter(lambda text: _degree_bound(text) <= 6)
+def _expressions(max_degree):
+    return st.one_of(
+        st.lists(st.sampled_from(EXPR_TOKENS), max_size=7).map("".join),
+        st.sampled_from(BUILTINS),
+    ).filter(lambda text: _degree_bound(text) <= max_degree)
+
+
+expressions = _expressions(6)
+
+# factors of known degree; their products are above the polarize bound
+HIGH_FACTORS = {"x": 1, "tr(x)": 1, "x^2": 2, "tr(x^3)": 3, "x^9": 9, "tr(x^12)": 12}
+above_polarize_bound = st.lists(
+    st.sampled_from(sorted(HIGH_FACTORS)), min_size=1, max_size=6,
+).filter(lambda factors: sum(HIGH_FACTORS[f] for f in factors) > 8).map("*".join)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3)
@@ -404,12 +426,17 @@ def _exits_cleanly(argv):
     result = CliRunner().invoke(main, argv, catch_exceptions=False)
     assert result.exit_code in (0, 1, 2), (argv, result.output)
     assert "Traceback" not in result.output
+    return result
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(expressions)
-def test_fuzz_polarize(expr):
-    _exits_cleanly(["polarize", "--expr", expr])
+@given(st.one_of(_expressions(8).map(lambda text: (text, False)),
+                 above_polarize_bound.map(lambda text: (text, True))))
+def test_fuzz_polarize(case):
+    expr, above_bound = case
+    result = _exits_cleanly(["polarize", "--expr", expr])
+    if above_bound:
+        assert result.exit_code == 2 and "above the bound 8" in result.output, expr
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,13 +1,20 @@
 """Structure-constant trace algebras: validation, kernels, trace degrees."""
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tracealg.characters import character_table
+from tracealg.chident import ch_multilinear
 from tracealg.findim import (AlgebraValidationError, Subspace, TraceAlgebra,
                              WeightedType, ch_degree, ch_identity_failure,
                              dual_numbers, ideal_dot_product, make_algebra,
                              quotient_algebra, radical_kernel, recover_weights,
                              rescale_trace, trace_kernel, weighted_semisimple)
+from tracealg.pseudochar import (PseudoCharTable, group_algebra,
+                                 quaternion_group, symmetric_group_3)
 from tracealg.strata import enumerate_types
 
 
@@ -21,6 +28,23 @@ def m2_structure(trace_vector):
                 mul[i][j][idx[(a, d)]] = 1
     return make_algebra(mul, unit=[1, 0, 0, 1], trace_vector=trace_vector,
                         labels=("e11", "e12", "e21", "e22"))
+
+
+def upper_triangular(t11, t22):
+    """2x2 upper triangular matrices, basis e11, e12, e22, with t(e11) and
+    t(e22) prescribed; t(ab) = t(ba) forces t(e12) = 0."""
+    mul = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],   # e11 * (e11, e12, e22)
+        [[0, 0, 0], [0, 0, 0], [0, 1, 0]],   # e12 * ...
+        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],   # e22 * ...
+    ]
+    return make_algebra(mul, unit=[1, 0, 1], trace_vector=[t11, 0, t22],
+                        labels=("e11", "e12", "e22"))
+
+
+# F[eps]/(eps^2) with t(1) = 2 and t(eps) = 1: the degree-2 identity fails
+STRANGE = make_algebra([[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                       unit=[1, 0], trace_vector=[2, 1])
 
 
 class TestMakeAlgebra:
@@ -136,10 +160,19 @@ class TestChDegree:
         assert any("t(1)" in line for line in diagnostics)
 
     def test_failure_witness_is_least_tuple(self):
-        strange = make_algebra([[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
-                               unit=[1, 0], trace_vector=[2, 1])
-        witness = ch_identity_failure(strange, 2)
+        witness = ch_identity_failure(STRANGE, 2)
         assert witness is not None
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_identity_of_degree_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError, match="positive"):
+            ch_identity_failure(STRANGE, n)
+
+    def test_degree_1500_line(self):
+        # the recursion holds one multiset per size here; the permutation
+        # sum would have 1501! terms
+        line = rescale_trace(weighted_semisimple([(1, 1)]), 1500)
+        assert ch_degree(line, 1500) == 1500
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weighted_semisimple_has_degree_n(self, n):
@@ -244,13 +277,73 @@ class TestKernelNilpotency:
     def test_kernel_of_upper_triangulars_is_the_radical(self):
         # 2x2 upper triangular matrices with the matrix trace: the kernel of
         # the trace form is the span of the strictly upper part
-        mul = [
-            [[1, 0, 0], [0, 1, 0], [0, 0, 0]],   # e11 * (e11, e12, e22)
-            [[0, 0, 0], [0, 0, 0], [0, 1, 0]],   # e12 * ...
-            [[0, 0, 0], [0, 0, 0], [0, 0, 1]],   # e22 * ...
-        ]
-        a = make_algebra(mul, unit=[1, 0, 1], trace_vector=[1, 0, 1],
-                         labels=("e11", "e12", "e22"))
+        a = upper_triangular(1, 1)
         k = trace_kernel(a)
         assert k.rows == ((Fraction(0), Fraction(1), Fraction(0)),)
         assert a.element_is_nilpotent(k.rows[0]) == 2
+
+
+# -- the recursion against the evaluated permutation sum ------------------------
+
+def evaluate_on_algebra(p, a, assignment):
+    """Reference evaluator: the trace polynomial p, term by term, with its
+    variables sent to algebra elements; tr(1) evaluates to t(1)."""
+    cache = {(): a.unit}
+    total = [Fraction(0)] * a.dim
+    for (w, traces), c in p.terms.items():
+        scalar = c
+        for t in traces:
+            scalar *= a.trace_of(a.word_value(t, assignment, cache))
+            if scalar == 0:
+                break
+        if scalar == 0:
+            continue
+        wv = a.word_value(w, assignment, cache)
+        for k in range(a.dim):
+            total[k] += scalar * wv[k]
+    return tuple(total)
+
+
+def first_failure_by_evaluation(a, n):
+    """The least basis multiset on which ch_multilinear(n) is nonzero."""
+    poly = ch_multilinear(n)
+    for combo in combinations_with_replacement(range(a.dim), n):
+        assignment = {i + 1: a.basis_vector(b) for i, b in enumerate(combo)}
+        if any(evaluate_on_algebra(poly, a, assignment)):
+            return combo
+    return None
+
+
+@lru_cache(maxsize=None)
+def _group_and_characters(name):
+    group = {"S3": symmetric_group_3, "Q8": quaternion_group}[name]()
+    return group, character_table(group)
+
+
+def group_trace_algebra(name, picks, quotient):
+    """Q[G] traced by a sum of rational irreducible characters, optionally
+    divided by the kernel of its trace form."""
+    group, table = _group_and_characters(name)
+    values = tuple(sum(table[i % len(table)][g] for i in picks)
+                   for g in range(group.order))
+    a = group_algebra(PseudoCharTable(group, int(values[group.identity]), values))
+    return quotient_algebra(a, trace_kernel(a))[0] if quotient else a
+
+
+SMALL_TYPES = [t.pairs for n in (1, 2, 3) for t in enumerate_types(n)]
+
+oracle_algebras = st.one_of(
+    st.builds(lambda pairs, factor: rescale_trace(weighted_semisimple(pairs), factor),
+              st.sampled_from(SMALL_TYPES), st.integers(1, 2)),
+    st.builds(dual_numbers, st.integers(-1, 4), st.integers(-2, 2)),
+    st.builds(upper_triangular, st.integers(-1, 3), st.integers(-1, 3)),
+    st.just(STRANGE),
+    st.builds(group_trace_algebra, st.sampled_from(["S3", "Q8"]),
+              st.lists(st.integers(0, 4), min_size=1, max_size=2), st.booleans()),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(oracle_algebras, st.integers(1, 3))
+def test_recursion_matches_the_evaluated_identity(a, n):
+    assert ch_identity_failure(a, n) == first_failure_by_evaluation(a, n)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracealg.freetrace import (CyclicWord, TracePoly, formal_trace,
-                                least_rotation, mul, normalize,
-                                parse_trace_poly, substitute, x)
+                                least_rotation, normalize, parse_trace_poly,
+                                substitute, x)
 from tracealg import mpoly
 from tracealg.mpoly import MPoly
 
@@ -130,8 +130,8 @@ def trace_polys(draw):
 @given(trace_polys(), trace_polys(), trace_polys())
 @settings(max_examples=50, deadline=None)
 def test_mul_is_associative_and_distributive(p, q, r):
-    assert mul(mul(p, q), r) == mul(p, mul(q, r))
-    assert mul(p, q + r) == mul(p, q) + mul(p, r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
 
 
 @given(trace_polys(), trace_polys())
@@ -145,8 +145,8 @@ def test_trace_axiom_on_products(p, q):
 @settings(max_examples=40, deadline=None)
 def test_substitute_is_a_trace_homomorphism(p, q):
     mapping = {1: x(2) * x(1), 2: x(1) + formal_trace(x(3)), 3: TracePoly.scalar(2)}
-    assert substitute(mul(p, q), mapping) == \
-        mul(substitute(p, mapping), substitute(q, mapping))
+    assert substitute(p * q, mapping) == \
+        substitute(p, mapping) * substitute(q, mapping)
     assert substitute(formal_trace(p), mapping) == \
         formal_trace(substitute(p, mapping))
 

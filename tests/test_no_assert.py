@@ -1,8 +1,8 @@
 """Lints over the library sources.
 
 Library checks must survive ``python -O``, which strips ``assert``, no
-module imports a name it never uses, and every function is referenced
-somewhere.
+module imports a name it never uses, every function is referenced
+somewhere, and ``findim`` imports no free-algebra module.
 """
 import ast
 from pathlib import Path
@@ -86,3 +86,18 @@ def test_no_dead_definitions():
                     and not _is_cli_command(node) and node.name not in referenced):
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, f"defined but never referenced: {dead}"
+
+
+def test_findim_stays_below_the_free_algebra():
+    """``findim`` tests the Cayley-Hamilton identity by the recursion on the
+    algebra itself, so it reads no free-algebra polynomial."""
+    path = ROOT / "src" / "tracealg" / "findim.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    forbidden = sorted(imported & {"freetrace", "chident", "genmat"})
+    assert not forbidden, f"findim.py imports {forbidden}"
