@@ -4,15 +4,19 @@ An algebra is a basis u_1..u_d, sparse structure constants for u_i u_j, a
 unit vector and a trace vector t(u_i).  Construction validates associativity,
 the unit law and trace symmetry exhaustively and reports a witness on
 failure.  Subspaces are kept in reduced row echelon form so equality is
-decidable.
+decidable and membership is a reduction against the pivot rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from . import linalg
+
+
+_ZERO = Fraction(0)
 
 
 class AlgebraValidationError(ValueError):
@@ -25,14 +29,20 @@ class AlgebraValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^d, canonical reduced-row-echelon basis."""
+    """Subspace of Q^d, canonical reduced-row-echelon basis.
+
+    ``rows`` must be the canonical reduced row echelon form that
+    ``from_vectors``, ``zero`` and ``whole`` build: membership and the
+    quotient projection reduce a vector against the rows' pivots and rely
+    on it.
+    """
 
     ambient: int
     rows: tuple
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors) -> "Subspace":
-        ech, _ = linalg.rref([list(v) for v in vectors])
+        ech, _ = linalg.rref(vectors)
         return cls(ambient, tuple(tuple(r) for r in ech))
 
     @classmethod
@@ -47,19 +57,49 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _reducers(self) -> tuple:
+        """(pivot, other nonzero (column, entry) pairs) for each row; the
+        entry at the pivot is 1."""
+        out = []
+        for row in self.rows:
+            entries = [(j, x) for j, x in enumerate(row) if x]
+            out.append((entries[0][0], tuple(entries[1:])))
+        return tuple(out)
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(p for p, _ in self._reducers)
+
     def is_zero(self) -> bool:
         return not self.rows
 
+    def reduce(self, vector) -> list:
+        """The vector minus v[p]·row for each row and its pivot p, as a list
+        of Fraction.
+
+        The result is zero exactly when the vector lies in the subspace, and
+        its entries off the pivots are the vector's image in the quotient.
+        """
+        if len(vector) != self.ambient:
+            raise ValueError(f"vector of length {len(vector)} in ambient "
+                             f"dimension {self.ambient}")
+        v = [x if type(x) is Fraction else Fraction(x) for x in vector]
+        for p, entries in self._reducers:
+            f = v[p]
+            if f:
+                v[p] = _ZERO
+                for j, x in entries:
+                    v[j] -= f * x
+        return v
+
     def contains(self, vector) -> bool:
-        if self.dim == 0:
-            return all(x == 0 for x in vector)
-        stacked, _ = linalg.rref([list(r) for r in self.rows] + [list(vector)])
-        return len(stacked) == self.dim
+        return not any(self.reduce(vector))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient, list(self.rows) + list(other.rows))
+        return Subspace.from_vectors(self.ambient, self.rows + other.rows)
 
     def __le__(self, other: "Subspace") -> bool:
         return all(other.contains(r) for r in self.rows)
@@ -273,13 +313,10 @@ def trace_kernel(a: TraceAlgebra) -> Subspace:
     """
     basis = [a.basis_vector(i) for i in range(a.dim)]
     kernel = Subspace.from_vectors(a.dim, linalg.nullspace(a.gram_matrix(basis)))
-    for row in kernel.rows:
-        if a.trace_of(row) != 0:
-            raise AssertionError("trace kernel is not trace-stable")
-        for b in basis:
-            if not kernel.contains(a.multiply(row, b)) or \
-                    not kernel.contains(a.multiply(b, row)):
-                raise AssertionError("trace kernel is not a two-sided ideal")
+    if any(a.trace_of(row) != 0 for row in kernel.rows):
+        raise AssertionError("trace kernel is not trace-stable")
+    if check_ideal(a, kernel) is not None:
+        raise AssertionError("trace kernel is not a two-sided ideal")
     return kernel
 
 
@@ -332,21 +369,11 @@ def quotient_algebra(a: TraceAlgebra, ideal: Subspace):
     if ideal.dim == a.dim:
         raise ValueError("cannot form the zero quotient as a unital algebra")
 
-    pivots = []
-    col = 0
-    for row in ideal.rows:
-        while row[col] == 0:
-            col += 1
-        pivots.append(col)
+    pivots = set(ideal.pivots)
     free = [j for j in range(a.dim) if j not in pivots]
 
     def project(vec):
-        v = list(Fraction(x) for x in vec)
-        for row, p in zip(ideal.rows, pivots):
-            f = v[p]
-            if f != 0:
-                for j in range(a.dim):
-                    v[j] -= f * row[j]
+        v = ideal.reduce(vec)
         return tuple(v[j] for j in free)
 
     basis = [a.basis_vector(j) for j in free]

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg
-from .findim import TraceAlgebra
+from .findim import Subspace, TraceAlgebra
 from .freetrace import least_rotation
 from .mpoly import MPoly
 
@@ -154,10 +154,8 @@ class _RankEngine:
     # -- certificates ------------------------------------------------------------
     def independent_by_specialization(self, basis_words, w) -> bool:
         for p in range(len(self.points)):
-            rows = [list(self.word_at(b, p)) for b in basis_words]
-            if linalg.rank(rows) != len(basis_words):
-                continue
-            if linalg.rank(rows + [list(self.word_at(w, p))]) == len(basis_words) + 1:
+            span = Subspace.from_vectors(self.a.dim, [self.word_at(b, p) for b in basis_words])
+            if span.dim == len(basis_words) and not span.contains(self.word_at(w, p)):
                 return True
         return False
 

@@ -1,16 +1,29 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines on lists of lists of Fraction; everything returns new
-lists and never mutates its input.  Canonical form is the reduced row
-echelon form, which makes subspace equality decidable by comparing rows.
+Small dense routines on lists of lists of rationals (``int``, ``Fraction``
+or anything ``Fraction`` accepts); everything returns new lists of
+``Fraction`` and never mutates its input.  Elimination is fraction-free:
+each row is scaled to integers, Gauss-Jordan runs on ``int`` rows kept
+primitive (divided by their content), and the pivots are divided out into
+``Fraction`` once, at the end.  The canonical form is the reduced row
+echelon form, so the output does not depend on how it was computed and
+subspace equality is decidable by comparing rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_row(row):
+    """The row scaled by a positive rational to coprime integers."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*[x.denominator for x in row])
+    row = [x.numerator * (den // x.denominator) for x in row]
+    content = gcd(*row)
+    return [x // content for x in row] if content > 1 else row
 
 
 def rref(rows):
@@ -18,32 +31,42 @@ def rref(rows):
 
     Returns (echelon_rows, pivot_columns) with zero rows dropped.
     """
-    mat = _as_fraction_rows(rows)
+    mat = [_integer_row(row) for row in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
         for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
+            if mat[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        mat[r], mat[i] = mat[i], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        # rows r.. vanish left of column c, so the pivot row does too
+        support = [j for j in range(c, ncols) if prow[j]]
+        for i, row in enumerate(mat):
+            a = row[c]
+            if not a or i == r:
+                continue
+            g = gcd(a, p)
+            scale, f = p // g, a // g
+            if scale != 1:
+                row = [x * scale for x in row]
+            for j in support:
+                row[j] -= f * prow[j]
+            content = gcd(*row)
+            mat[i] = [x // content for x in row] if content > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    echelon = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+               for row, c in zip(mat, pivots)]
+    return echelon, pivots
 
 
 def rank(rows):
@@ -89,7 +112,7 @@ def identity(n):
 def invert(rows):
     """Inverse of a square rational matrix, or None if singular."""
     n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(rows, identity(n))]
     ech, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None
@@ -101,7 +124,7 @@ def solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(len(rows))]
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     ech, pivots = rref(aug)
     if ncols in pivots:
         return None

@@ -2,7 +2,8 @@
 
 Library checks must survive ``python -O``, which strips ``assert``, no
 module imports a name it never uses, every function is referenced
-somewhere, and ``findim`` imports no free-algebra module.
+somewhere, ``findim`` imports no free-algebra module and ``linalg`` no
+``tracealg`` module at all.
 """
 import ast
 from pathlib import Path
@@ -88,10 +89,9 @@ def test_no_dead_definitions():
     assert not dead, f"defined but never referenced: {dead}"
 
 
-def test_findim_stays_below_the_free_algebra():
-    """``findim`` tests the Cayley-Hamilton identity by the recursion on the
-    algebra itself, so it reads no free-algebra polynomial."""
-    path = ROOT / "src" / "tracealg" / "findim.py"
+def _imported_modules(name):
+    """Last component of every module and name the module imports."""
+    path = ROOT / "src" / "tracealg" / f"{name}.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom):
@@ -99,5 +99,19 @@ def test_findim_stays_below_the_free_algebra():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
+    return imported
+
+
+def test_findim_stays_below_the_free_algebra():
+    """``findim`` tests the Cayley-Hamilton identity by the recursion on the
+    algebra itself, so it reads no free-algebra polynomial."""
+    imported = _imported_modules("findim")
     forbidden = sorted(imported & {"freetrace", "chident", "genmat"})
     assert not forbidden, f"findim.py imports {forbidden}"
+
+
+def test_linalg_is_the_bottom_layer():
+    """``linalg`` works on plain rows of rationals and imports no
+    ``tracealg`` module, relative or absolute."""
+    found = sorted(_imported_modules("linalg") & ({p.stem for p in SOURCES} | {"tracealg"}))
+    assert not found, f"linalg.py imports {found}"
