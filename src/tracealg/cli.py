@@ -49,11 +49,8 @@ POLARIZE_MAX_DEGREE = 8
 def polarize(expr):
     """Print the full polarization (multilinear form) of an expression."""
     try:
-        p = parse_trace_poly(expr)
-        degree = max(p.term_degrees(), default=0)
-        if degree > POLARIZE_MAX_DEGREE:
-            _fail_usage(f"--expr: degree {degree} is above the bound "
-                        f"{POLARIZE_MAX_DEGREE} (the form would have {degree}! terms)")
+        # the bound is checked while parsing, before any power is expanded
+        p = parse_trace_poly(expr, max_degree=POLARIZE_MAX_DEGREE)
         result = chident.polarize(p)
     except ValueError as exc:
         _fail_usage(f"--expr: {exc}")

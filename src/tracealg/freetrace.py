@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sparse import SparsePoly
+from .sparse import SparsePoly, exact
 
 Word = tuple  # tuple[int, ...] of positive variable indices
 
@@ -74,6 +74,11 @@ def _sort_traces(traces) -> tuple:
     return tuple(sorted(traces, key=_trace_key))
 
 
+def _check_index(i: int) -> None:
+    if i < 1:
+        raise ValueError("variable indices are positive integers")
+
+
 def _key_mul(k1, k2):
     (w1, t1), (w2, t2) = k1, k2
     return (w1 + w2, _sort_traces(t1 + t2))
@@ -94,20 +99,19 @@ class TracePoly(SparsePoly):
     # -- constructors --------------------------------------------------
     @classmethod
     def scalar(cls, c) -> "TracePoly":
-        return cls({((), ()): Fraction(c)})
+        return cls({((), ()): exact(c)})
 
     @classmethod
     def variable(cls, i: int) -> "TracePoly":
-        if i < 1:
-            raise ValueError("variable indices are positive integers")
-        return cls({((i,), ()): Fraction(1)})
+        _check_index(i)
+        return cls({((i,), ()): 1})
 
     @classmethod
     def monomial(cls, letters, trace_words=()) -> "TracePoly":
         """The word ``letters`` times tr(w) for each w in ``trace_words``,
         each trace word cyclically normalized."""
         traces = _sort_traces(least_rotation(tuple(t)) for t in trace_words)
-        return cls({(tuple(letters), traces): Fraction(1)})
+        return cls({(tuple(letters), traces): 1})
 
     @classmethod
     def word(cls, letters) -> "TracePoly":
@@ -243,36 +247,61 @@ def x(i: int) -> TracePoly:
 
 # -- parser -------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d*)|(tr)|([()+\-*^/]))")
+# the last group catches any other character, which cannot start a token
+_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d*)|(tr)|([()+\-*^/])|(\S))")
+_UNTOKENIZABLE = 5
+
+
+def _as_poly(v) -> TracePoly:
+    """A parsed value as a TracePoly (see _Parser for the two kinds)."""
+    if type(v) is tuple:
+        c, word, traces = v
+        return TracePoly({(word, _sort_traces(traces)): c})
+    return v
+
+
+def _degree(v) -> int:
+    if type(v) is tuple:
+        return len(v[1]) + sum(map(len, v[2]))
+    return max(v.term_degrees(), default=0)
 
 
 class _Parser:
     """Recursive descent for the rendering grammar.
 
-    expr   := ['-'] term (('+'|'-') term)*
+    expr   := ['-'|'+'] term (('+'|'-') term)*
     term   := power ('*' power)*
     power  := atom ('^' INT)*
     atom   := INT ['/' INT] | VAR | 'tr' '(' expr ')' | '(' expr ')'
+
+    A parsed value is a monomial ``(coefficient, word, traces)``, its traces
+    cyclically normalized but not yet sorted, or a TracePoly.  Scalars,
+    variables, traces of monomials and their products and powers stay
+    monomials; only a sum of two or more terms in parentheses or under a
+    trace becomes a TracePoly, and so does any product or power with one,
+    taken in the written order since words do not commute.  ``expr`` adds
+    its terms into one dict.  With ``max_degree`` set, a product or power of
+    higher degree raises before it is built.
     """
 
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot tokenize input at: {text[pos:]!r}")
-                break
-            pos = m.end()
-            self.tokens.append(m.group(m.lastindex))
+    def __init__(self, text: str, max_degree=None):
+        tokens = []
+        append = tokens.append
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            if group == _UNTOKENIZABLE:
+                raise ValueError(f"cannot tokenize input at: {text[m.start():]!r}")
+            append(m[group])
+        append(None)  # end of input
+        self.tokens = tokens
         self.i = 0
+        self.max_degree = max_degree
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def take(self, expected=None):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok is None:
             raise ValueError("unexpected end of input")
         if expected is not None and tok != expected:
@@ -280,61 +309,104 @@ class _Parser:
         self.i += 1
         return tok
 
+    def check_degree(self, degree: int) -> None:
+        if degree > self.max_degree:
+            raise ValueError(f"degree {degree} is above the bound {self.max_degree}")
+
     def parse(self) -> TracePoly:
-        p = self.expr()
+        v = self.expr()
         if self.peek() is not None:
             raise ValueError(f"trailing input at token {self.peek()!r}")
-        return p
+        return _as_poly(v)
 
-    def expr(self) -> TracePoly:
+    def expr(self):
         sign = 1
         if self.peek() == "-":
-            self.take()
+            self.i += 1
             sign = -1
         elif self.peek() == "+":
-            self.take()
-        parts = [(sign, self.term())]
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            parts.append((1 if op == "+" else -1, self.term()))
-        return TracePoly.sum(parts)
+            self.i += 1
+        v = self.term()
+        if self.peek() not in ("+", "-"):
+            if sign == 1:
+                return v
+            return (-v[0], v[1], v[2]) if type(v) is tuple else -v
+        out = {}
+        get = out.get
+        while True:
+            if type(v) is tuple:
+                c, word, traces = v
+                if len(traces) > 1:
+                    traces = _sort_traces(traces)
+                terms = (((word, traces), c),)
+            else:
+                terms = v.terms.items()
+            for key, c in terms:
+                if sign != 1:
+                    c = -c
+                old = get(key)
+                if old is not None:
+                    c += old
+                if c:
+                    out[key] = c
+                elif old is not None:
+                    del out[key]
+            op = self.peek()
+            if op != "+" and op != "-":
+                return TracePoly._wrap(out)
+            self.i += 1
+            sign = 1 if op == "+" else -1
+            v = self.term()
 
-    def term(self) -> TracePoly:
-        out = self.power()
+    def term(self):
+        v = self.power()
         while self.peek() == "*":
-            self.take()
-            out = out * self.power()
-        return out
+            self.i += 1
+            f = self.power()
+            if self.max_degree is not None:
+                self.check_degree(_degree(v) + _degree(f))
+            if type(v) is tuple and type(f) is tuple:
+                v = (v[0] * f[0], v[1] + f[1], v[2] + f[2])
+            else:
+                v = _as_poly(v) * _as_poly(f)
+        return v
 
-    def power(self) -> TracePoly:
-        base = self.atom()
+    def power(self):
+        v = self.atom()
         while self.peek() == "^":
-            self.take()
+            self.i += 1
             e = self.take()
             if not e.isdigit():
                 raise ValueError(f"expected integer exponent, got {e!r}")
-            base = base ** int(e)
-        return base
+            e = int(e)
+            if self.max_degree is not None:
+                self.check_degree(_degree(v) * e)
+            v = (v[0] ** e, v[1] * e, v[2] * e) if type(v) is tuple else v ** e
+        return v
 
-    def atom(self) -> TracePoly:
+    def atom(self):
         tok = self.take()
         if tok.isdigit():
             if self.peek() == "/":
-                self.take()
+                self.i += 1
                 den = self.take()
                 if not den.isdigit():
                     raise ValueError(f"expected denominator, got {den!r}")
                 if int(den) == 0:
                     raise ValueError(f"zero denominator in {tok}/{den}")
-                return TracePoly.scalar(Fraction(int(tok), int(den)))
-            return TracePoly.scalar(int(tok))
-        if tok.startswith("x"):
+                return (exact(Fraction(int(tok), int(den))), (), ())
+            return (int(tok), (), ())
+        if tok[0] == "x":
             idx = int(tok[1:]) if len(tok) > 1 else 1
-            return TracePoly.variable(idx)
+            _check_index(idx)
+            return (1, (idx,), ())
         if tok == "tr":
             self.take("(")
             inner = self.expr()
             self.take(")")
+            if type(inner) is tuple:
+                c, word, traces = inner
+                return (c, (), traces + (least_rotation(word),))
             return inner.trace()
         if tok == "(":
             inner = self.expr()
@@ -343,6 +415,11 @@ class _Parser:
         raise ValueError(f"unexpected token {tok!r}")
 
 
-def parse_trace_poly(text: str) -> TracePoly:
-    """Parse the textual grammar produced by TracePoly.render."""
-    return _Parser(text).parse()
+def parse_trace_poly(text: str, max_degree=None) -> TracePoly:
+    """Parse the textual grammar produced by TracePoly.render.
+
+    With ``max_degree``, raise ValueError as soon as a product or power in
+    the text has degree above it, before it is expanded, even when it would
+    later cancel (``x^9 - x^9``).
+    """
+    return _Parser(text, max_degree).parse()

@@ -135,6 +135,10 @@ class TestChMultilinear:
             "x1*x2 + x2*x1 - tr(x1)*x2 - tr(x2)*x1 - tr(x1*x2) + tr(x1)*tr(x2)")
         assert ch_multilinear(2) == expected
 
+    def test_coefficients_are_stored_as_int(self):
+        for p in (ch_multilinear(4), t_multilinear(4)):
+            assert all(type(c) is int for c in p.terms.values())
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_restitution(self, n):
         factorial = 1

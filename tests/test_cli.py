@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 import json
 import re
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -55,6 +56,23 @@ class TestPolarize:
         result = runner.invoke(main, ["polarize", "--expr", "x^12"])
         assert result.exit_code == 2
         assert "degree 12 is above the bound 8" in result.output
+
+    @pytest.mark.parametrize("expr", ["(x1+x2)^40", "x^2000000000",
+                                      "x^99999999999999999999"])
+    def test_huge_powers_are_refused_before_expansion(self, runner, expr):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["polarize", "--expr", expr])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "above the bound 8" in result.output
+
+    @pytest.mark.parametrize("expr", ["x^9 - x^9", "0*x^9", "x^9 - x^9 + x^2",
+                                      "0*x^9 + tr(x)*x"])
+    def test_written_degree_above_the_bound_is_refused_even_if_it_cancels(
+            self, runner, expr):
+        result = runner.invoke(main, ["polarize", "--expr", expr])
+        assert result.exit_code == 2
+        assert "degree 9 is above the bound 8" in result.output
 
     def test_degree_at_the_bound_runs(self, runner):
         result = runner.invoke(main, ["polarize", "--expr", "tr(x^8)"])

@@ -1,5 +1,6 @@
 """Free trace algebra: normal forms, products, the trace, substitution."""
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -151,12 +152,6 @@ def test_substitute_is_a_trace_homomorphism(p, q):
         formal_trace(substitute(p, mapping))
 
 
-@given(trace_polys())
-@settings(max_examples=60, deadline=None)
-def test_render_parse_roundtrip(p):
-    assert parse_trace_poly(p.render()) == p
-
-
 class TestRendering:
     def test_word_powers_and_traces(self):
         p = formal_trace(x(1)) ** 2 * TracePoly.word([1, 1, 2])
@@ -172,6 +167,230 @@ class TestRendering:
     def test_bare_x_parses_as_x1(self):
         assert parse_trace_poly("x^2 - tr(x)*x") == \
             TracePoly.word([1, 1]) - formal_trace(x(1)) * x(1)
+
+
+# -- the parser against a reference ---------------------------------------------
+# The reference is the straightforward recursive descent: one TracePoly per
+# atom, multiplied and added with TracePoly arithmetic.  The library parser
+# builds each product as one monomial instead; both must give equal
+# polynomials, or the same ValueError message, on every input.
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d*)|(tr)|([()+\-*^/]))")
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _REFERENCE_TOKEN.match(text, pos)
+            if not m or m.end() == pos:
+                if text[pos:].strip():
+                    raise ValueError(f"cannot tokenize input at: {text[pos:]!r}")
+                break
+            pos = m.end()
+            self.tokens.append(m.group(m.lastindex))
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("unexpected end of input")
+        if expected is not None and tok != expected:
+            raise ValueError(f"expected {expected!r}, got {tok!r}")
+        self.i += 1
+        return tok
+
+    def parse(self):
+        p = self.expr()
+        if self.peek() is not None:
+            raise ValueError(f"trailing input at token {self.peek()!r}")
+        return p
+
+    def expr(self):
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        elif self.peek() == "+":
+            self.take()
+        parts = [(sign, self.term())]
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            parts.append((1 if op == "+" else -1, self.term()))
+        return TracePoly.sum(parts)
+
+    def term(self):
+        out = self.power()
+        while self.peek() == "*":
+            self.take()
+            out = out * self.power()
+        return out
+
+    def power(self):
+        base = self.atom()
+        while self.peek() == "^":
+            self.take()
+            e = self.take()
+            if not e.isdigit():
+                raise ValueError(f"expected integer exponent, got {e!r}")
+            base = base ** int(e)
+        return base
+
+    def atom(self):
+        tok = self.take()
+        if tok.isdigit():
+            if self.peek() == "/":
+                self.take()
+                den = self.take()
+                if not den.isdigit():
+                    raise ValueError(f"expected denominator, got {den!r}")
+                if int(den) == 0:
+                    raise ValueError(f"zero denominator in {tok}/{den}")
+                return TracePoly.scalar(Fraction(int(tok), int(den)))
+            return TracePoly.scalar(int(tok))
+        if tok.startswith("x"):
+            idx = int(tok[1:]) if len(tok) > 1 else 1
+            return TracePoly.variable(idx)
+        if tok == "tr":
+            self.take("(")
+            inner = self.expr()
+            self.take(")")
+            return inner.trace()
+        if tok == "(":
+            inner = self.expr()
+            self.take(")")
+            return inner
+        raise ValueError(f"unexpected token {tok!r}")
+
+
+def _outcome(parse, text):
+    """The parsed polynomial, or the ValueError message."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_parsers_agree(text):
+    got = _outcome(parse_trace_poly, text)
+    expected = _outcome(lambda t: _ReferenceParser(t).parse(), text)
+    assert got == expected, text
+    if isinstance(got, TracePoly):
+        assert no_zero_stored(got)
+
+
+@st.composite
+def many_term_polys(draw):
+    """Up to 20 terms with rational coefficients, repeated letters and
+    repeated traces, tr(1) among them."""
+    letters = st.integers(1, 3)
+    terms = []
+    for _ in range(draw(st.integers(0, 20))):
+        word = draw(st.lists(letters, max_size=4))
+        traces = draw(st.lists(st.lists(letters, max_size=3), max_size=3))
+        traces += traces[:draw(st.integers(0, len(traces)))]
+        terms.append(TracePoly.scalar(draw(small_rational)) * TracePoly.monomial(word, traces))
+    return TracePoly.sum(terms)
+
+
+# renders, x1 also written as a bare x
+renderings = st.tuples(many_term_polys(), st.sampled_from([None, {1: "x"}])).map(
+    lambda case: case[0].render(case[1]))
+
+TOKEN_SOUP = ["x", "x1", "x2", "x3", "x0", "12", "0", "3/4", "1/0", "2/", "tr", "tr(",
+              "tr(x2)", "tr(x1)", "tr(x1*x2)", "tr(x2*x1^2)", "tr(1)", "tr(x1+x2)",
+              "tr(x1-tr(x2))", "(", ")", "(x1-x2)", "(x2+1/2)", "+", "-", "*",
+              "^", "^0", "^2", "^3", "^x", ".", "y", "/"]
+
+
+def _expansion_bound(text):
+    """Letters times the product of the nonzero exponents; bounds the degree
+    and so the size of every expansion."""
+    bound = max(text.count("x"), 1)
+    for e in re.findall(r"\^\s*(\d+)", text):
+        bound *= max(int(e), 1)
+    return bound
+
+
+token_soups = st.tuples(
+    st.lists(st.tuples(st.sampled_from(["", "", " ", "  "]), st.sampled_from(TOKEN_SOUP)),
+             max_size=12),
+    st.sampled_from(["", " ", "  \t"]),
+).map(lambda soup: "".join(blank + piece for blank, piece in soup[0]) + soup[1]
+      ).filter(lambda text: _expansion_bound(text) <= 10)
+
+
+def _corrupt(case):
+    text, (where, piece) = case
+    if piece is None:
+        return text
+    at = where % (len(text) + 1)
+    return text[:at] + piece + text[at:]
+
+
+# expressions of the grammar, some with one malformed piece spliced in
+grammar_texts = st.tuples(
+    st.recursive(
+        st.sampled_from(["x", "x1", "x2", "x3", "2", "0", "3/4", "tr(1)"]),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", " - ", "*", " * "]), inner).map("".join),
+            inner.map("tr({})".format),
+            inner.map("({})".format),
+            inner.map("-{}".format),
+            st.tuples(inner, st.sampled_from(["^0", "^2", "^3"])).map("".join)),
+        max_leaves=8),
+    st.tuples(st.integers(0, 60),
+              st.sampled_from([None] * 4 + ["x0", "1/0", "^x", ".", " y", ")", "tr(", "* ", " "])),
+).map(_corrupt).filter(lambda text: _expansion_bound(text) <= 10)
+
+
+# sums of products whose factors come in any order, traces included
+FACTORS = ["x", "x1", "x2", "x2^2", "2", "1/2", "0", "tr(1)", "tr(x1)", "tr(x2)",
+           "tr(x2*x1)", "tr(x1^2)", "tr(x2)^2"]
+shuffled_sums = st.lists(
+    st.tuples(st.sampled_from([" + ", " - "]),
+              st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4).map("*".join)),
+    min_size=1, max_size=6,
+).map(lambda parts: "".join(sign + product for sign, product in parts))
+
+
+@given(st.one_of(renderings, token_soups, grammar_texts, shuffled_sums))
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_parser_matches_the_reference(text):
+    _assert_parsers_agree(text)
+
+
+@given(st.one_of(trace_polys(), many_term_polys()))
+@settings(max_examples=100, deadline=None)
+def test_render_parse_roundtrip(p):
+    text = p.render()
+    assert parse_trace_poly(text) == p
+    assert parse_trace_poly(text).render() == text
+
+
+class TestParserDegreeBound:
+    @pytest.mark.parametrize("text, degree", [
+        ("x^9", 9), ("(x1+x2)^40", 40), ("x^2000000000", 2000000000),
+        ("x^4*x^5", 9), ("tr(x^3)^3", 9), ("x^9 - x^9", 9), ("0*x^9", 9),
+        ("tr(x1+x2)^2*(x1-x2)^7", 9)])
+    def test_refused_before_expansion(self, text, degree):
+        with pytest.raises(ValueError, match=f"^degree {degree} is above the bound 8$"):
+            parse_trace_poly(text, max_degree=8)
+
+    @pytest.mark.parametrize("text", ["x^8", "tr(x^2)^4", "(x1+x2)^4*x^4",
+                                      "x^4*tr(x1+x2)^4", "2^20*tr(1)^9"])
+    def test_within_the_bound_parses_as_without_it(self, text):
+        assert parse_trace_poly(text, max_degree=8) == parse_trace_poly(text)
+
+
+def test_constructors_store_integer_coefficients():
+    for p in (TracePoly.scalar(Fraction(6, 3)), TracePoly.variable(2),
+              TracePoly.monomial((1, 2), [(2, 1)]), parse_trace_poly("2*x - 4/2*tr(x)")):
+        assert all(type(c) is int for c in p.terms.values()), p
 
 
 # -- the shared sparse kernel (sparse.SparsePoly) ----------------------------------
