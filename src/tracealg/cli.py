@@ -251,15 +251,23 @@ def strata_cmd(n, ell, poset_format, show_dims):
                    "(ell=2, 2x2 block split)")
 
 
+# the discriminant of the generic degree-n polynomial and its check take
+# 0.4-1.3 s at n = 7, and 6-18 s and 0.3-0.5 GB at n = 8 (Python 3.11.7, 2 cores)
+ONEVAR_MAX_WEIGHT = 7
+
+
 @main.command()
 @click.option("--weights", "weights_text", required=True,
-              help="Comma-separated eigenvalue multiplicities, e.g. '1,2'.")
+              help="Comma-separated eigenvalue multiplicities, e.g. '1,2', "
+                   f"summing to at most {ONEVAR_MAX_WEIGHT}.")
 def onevar(weights_text):
     """One-variable diagonal model and its coefficient relation."""
     try:
         mults = tuple(int(x) for x in weights_text.split(","))
     except ValueError:
         _fail_usage("--weights must be comma-separated integers")
+    if sum(mults) > ONEVAR_MAX_WEIGHT:
+        _fail_usage(f"--weights sum to {sum(mults)}, above the bound {ONEVAR_MAX_WEIGHT}")
     try:
         model = genmat.diagonal_model(mults)
     except ValueError as exc:

@@ -2,12 +2,20 @@
 
 Trace-identity checking is symbolic: a polynomial is an identity of n x n
 matrices iff it vanishes on matrices of fresh commuting indeterminates.
+Trace polynomials commute with simultaneous conjugation, so one of those
+matrices may be a generic diagonal one (see ``is_trace_identity``).
 Random rational search is only an accelerator for finding counterexamples;
 a witness is returned only when its exact evaluation is nonzero.
+
+The discriminant relation of a one-variable diagonal model is checked in
+elementary-symmetric coordinates: every eigenvalue but one of the most
+repeated enters only through their elementary symmetric functions (see
+``discriminant_relation``).
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -27,6 +35,12 @@ def generic_matrix(i: int, n: int) -> PolyMatrix:
         raise ValueError("matrix size must be >= 1")
     return PolyMatrix([[MPoly.var(entry_name(i, h, k)) for k in range(1, n + 1)]
                        for h in range(1, n + 1)])
+
+
+def generic_diagonal_matrix(i: int, n: int) -> PolyMatrix:
+    """The diagonal matrix of the diagonal indeterminates of variable i."""
+    return PolyMatrix([[MPoly.var(entry_name(i, h, h)) if h == k else 0
+                        for k in range(1, n + 1)] for h in range(1, n + 1)])
 
 
 def rational_matrix(rows) -> PolyMatrix:
@@ -77,11 +91,25 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
 def is_trace_identity(p: TracePoly, n: int) -> bool:
     """Exact symbolic check that p vanishes identically on n x n matrices.
 
+    The variable with the most letter occurrences in p (the smallest index
+    among ties) gets a generic diagonal matrix D, every other variable a
+    full generic matrix.  The check keeps its strength (Procesi 1976):
+    p(g X g^-1) = g p(X) g^-1 for every invertible g, and matrices with
+    distinct eigenvalues, each conjugate to a diagonal one, are Zariski-dense
+    in M_n; so p vanishes on all of M_n^k iff p(D, X_2, ..., X_k) is the
+    zero polynomial.  Only one matrix may be made diagonal: two diagonal
+    matrices commute, and x1*x2 - x2*x1 would pass.
+
     p is first scaled by the lcm of its coefficient denominators, which does
     not change whether it vanishes, so the evaluation runs over int.
     """
     denom = lcm(*(c.denominator for c in p.terms.values()))
     assignment = {i: generic_matrix(i, n) for i in p.variables()}
+    if assignment:
+        occurrences = Counter(letter for w, traces in p.terms
+                              for word in (w, *traces) for letter in word)
+        diagonal = min(assignment, key=lambda i: (-occurrences[i], i))
+        assignment[diagonal] = generic_diagonal_matrix(diagonal, n)
     return evaluate(denom * p, assignment, n).is_zero()
 
 
@@ -120,15 +148,18 @@ class DiagonalModel:
     charpoly_coeffs: tuple  # (alpha_1, ..., alpha_n), MPoly in x1..xp
 
 
-def _elementary_symmetric(values, k: int) -> MPoly:
-    """e_k of a list of MPoly values, by the standard product recursion."""
-    coeffs = [MPoly.const(1)]
+def _times_linear_factors(coeffs: list, values) -> list:
+    """The coefficients of c(t) * prod over v in values of (1 + v t).
+
+    ``coeffs`` lists c(t) lowest degree first, in polynomials private to
+    the caller: the list and its entries grow in place.  With c = 1,
+    coefficient k is e_k(values), by the standard product recursion.
+    """
     for v in values:
         coeffs.append(MPoly.zero())
         for j in range(len(coeffs) - 1, 0, -1):
-            # coeffs[j] is still private to this list, so it may grow in place
             MPoly.add_product(coeffs[j].terms, coeffs[j - 1], v)
-    return coeffs[k] if k < len(coeffs) else MPoly.zero()
+    return coeffs
 
 
 def diagonal_model(multiplicities) -> DiagonalModel:
@@ -147,7 +178,7 @@ def diagonal_model(multiplicities) -> DiagonalModel:
         eigenvalues.extend([MPoly.var(f"x{idx}")] * a)
     diag = [[eigenvalues[i] if i == j else MPoly.zero() for j in range(n)]
             for i in range(n)]
-    coeffs = tuple(_elementary_symmetric(eigenvalues, k) for k in range(1, n + 1))
+    coeffs = tuple(_times_linear_factors([MPoly.one()], eigenvalues)[1:])
     model = DiagonalModel(mults, n, PolyMatrix(diag), coeffs)
     if mults == (1, 2):
         _verify_two_eigenvalue_model(model)
@@ -191,21 +222,46 @@ def generic_discriminant(n: int) -> MPoly:
     return (Fraction((-1) ** (n * (n - 1) // 2)) * res).primitive()
 
 
+def repeated_root_coordinates(n: int, m: int) -> tuple:
+    """a_1..a_n of a degree-n characteristic polynomial with an m-fold root.
+
+    a_j is coefficient j of (1 + f_1 t + ... + f_{n-m} t^{n-m}) (1 + y t)^m
+    in fresh symbols f_i and y.  The characteristic polynomial of the
+    diagonal model with multiplicities (1, ..., 1, m) is this one at
+    f_i = e_i(simple eigenvalues), and those e_i and the repeated eigenvalue
+    are algebraically independent (fundamental theorem of symmetric
+    polynomials); so a polynomial in a_1..a_n vanishes on these coordinates
+    iff it vanishes on that model's.
+    """
+    first = [MPoly.one()] + [MPoly.var(f"f{i}") for i in range(1, n - m + 1)]
+    return tuple(_times_linear_factors(first, [MPoly.var("y")] * m)[1:])
+
+
 def discriminant_relation(multiplicities) -> MPoly:
     """A nonzero polynomial relation among the characteristic coefficients.
 
     The discriminant of the generic degree-n characteristic polynomial
     vanishes identically once some eigenvalue is repeated; the result is in
-    the symbols a1..an, reduced to primitive integer-coefficient form, and
-    its vanishing under the model substitution is checked before returning.
+    the symbols a1..an, reduced to primitive integer-coefficient form.
+
+    Its vanishing is checked before returning, in
+    ``repeated_root_coordinates(n, m)`` with m the largest multiplicity
+    rather than in the eigenvalues: each a_j is linear in the f_i, where
+    e_j has degree j in the x_i, so the substituted discriminant is far
+    smaller.  The model of any multiplicities with largest m is a
+    specialization of those coordinates (f_i = e_i of the other eigenvalues,
+    repeats included), so vanishing there certifies vanishing on the model,
+    and for multiplicities (1, ..., 1, m) the two checks are equivalent.
     """
     mults = tuple(int(a) for a in multiplicities)
     if all(a == 1 for a in mults):
         raise ValueError("no forced relation: all multiplicities are 1")
-    model = diagonal_model(mults)
-    n = model.size
+    if any(a < 1 for a in mults):
+        raise ValueError("multiplicities must be positive integers")
+    n = sum(mults)
     disc = generic_discriminant(n)
-    substitution = {f"a{j}": model.charpoly_coeffs[j - 1] for j in range(1, n + 1)}
+    coords = repeated_root_coordinates(n, max(mults))
+    substitution = {f"a{j}": coords[j - 1] for j in range(1, n + 1)}
     if not disc.substitute(substitution).is_zero():
         raise AssertionError("discriminant did not vanish under the model substitution")
     return disc

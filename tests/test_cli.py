@@ -114,6 +114,14 @@ class TestVerify:
         assert "Traceback" not in result.output
         assert "2^15" in result.output
 
+    def test_large_power_at_size_two_is_a_quick_counterexample(self, runner):
+        # the all-generic evaluation of x^2000 ran out of memory here
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", "--poly", "x^2000", "--size", "2"])
+        assert time.perf_counter() - start < 3.0
+        assert result.exit_code == 1, result.output
+        assert "counterexample for x^2000 at size 2:" in result.output
+
     def test_deterministic_witness(self, runner):
         args = ["verify", "--poly", "builtin:ch1", "--size", "2",
                 "--random", "5", "--seed", "11"]
@@ -348,6 +356,20 @@ class TestOnevar:
     def test_bad_weights(self, runner):
         result = runner.invoke(main, ["onevar", "--weights", "x"])
         assert result.exit_code == 2
+
+    def test_weights_at_the_bound_run(self, runner):
+        result = runner.invoke(main, ["onevar", "--weights", "1,6"])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("n = 7; multiplicities (1, 6)")
+        assert "coefficient relation (discriminant)" in result.output
+
+    @pytest.mark.parametrize("weights", ["1,7", "2,2,2,2", "1,1,1,1,1,1,1,1", "1000000"])
+    def test_weights_above_the_bound_are_refused_up_front(self, runner, weights):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["onevar", "--weights", weights])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "above the bound 7" in result.output
 
     def test_byte_stable(self, runner):
         a = runner.invoke(main, ["onevar", "--weights", "1,2"]).output

@@ -3,15 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracealg import linalg
-from tracealg.chident import ch_poly, t_multilinear
+from tracealg.chident import ch_multilinear, ch_poly, t_multilinear
 from tracealg.freetrace import TracePoly, formal_trace, x
 from tracealg.genmat import (diagonal_model, discriminant_relation, evaluate,
-                             generic_discriminant, generic_matrix,
-                             is_trace_identity, random_counterexample,
-                             rational_matrix)
+                             generic_diagonal_matrix, generic_discriminant,
+                             generic_matrix, is_trace_identity,
+                             random_counterexample, rational_matrix,
+                             repeated_root_coordinates)
 from tracealg.mpoly import MPoly, PolyMatrix
+
+
+def all_generic_verdict(p: TracePoly, n: int) -> bool:
+    """The oracle: p evaluated with a full generic matrix for every variable."""
+    return evaluate(p, {i: generic_matrix(i, n) for i in p.variables()}, n).is_zero()
 
 
 class TestGenericMatrix:
@@ -116,11 +123,88 @@ class TestIsTraceIdentity:
         # denominators are cleared before evaluating; the verdict must not move
         assert is_trace_identity(Fraction(1, 6) * ch_poly(3), n) is holds
 
+    @pytest.mark.parametrize("p,n,holds", [
+        (t_multilinear(5), 4, True),
+        (ch_multilinear(4), 5, False),
+    ], ids=["T5@4", "chm4@5"])
+    def test_heavy_verdicts(self, p, n, holds):
+        assert is_trace_identity(p, n) is holds
+
     def test_long_word_needs_no_recursion(self):
         # one prefix per letter, found by a loop rather than by recursion
         p = TracePoly.word([1] * 5000)
         assert not is_trace_identity(p, 1)
         assert evaluate(p, {1: rational_matrix([[1]])}, 1) == PolyMatrix.identity(1)
+
+
+# -- one diagonal matrix against the all-generic oracle --------------------------
+
+letters = st.integers(1, 3)
+words = st.lists(letters, max_size=3).map(tuple)
+short_words = st.lists(letters, max_size=2).map(tuple)
+coefficients = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 6))
+# a trace word may be empty: tr(1), which evaluates to the matrix size
+trace_monomials = st.builds(TracePoly.monomial, words, st.lists(words, max_size=2))
+short_monomials = st.builds(TracePoly.monomial, short_words,
+                            st.lists(short_words, max_size=1))
+
+
+@st.composite
+def trace_polynomials(draw, n):
+    """A random sum of monomials, plus sometimes a structured part times a
+    random monomial: an identity of size n (CH_n at a word, or tr(uv) -
+    tr(vu)), so that both verdicts are drawn, or the commutator uv - vu,
+    which vanishes where u and v commute."""
+    p = TracePoly.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        p = p + draw(coefficients) * draw(trace_monomials)
+    if draw(st.booleans()):
+        u, v = draw(short_words), draw(short_words)
+        part = draw(st.sampled_from([
+            ch_poly(n).substitute({1: TracePoly.word(u)}),
+            formal_trace(TracePoly.word(u + v)) - formal_trace(TracePoly.word(v + u)),
+            TracePoly.word(u + v) - TracePoly.word(v + u),
+        ]))
+        p = p + draw(coefficients) * part * draw(short_monomials)
+    return p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), trace_polynomials(n))))
+def test_diagonal_reduction_matches_the_all_generic_oracle(case):
+    n, p = case
+    assert is_trace_identity(p, n) is all_generic_verdict(p, n)
+
+
+class TestOneDiagonalMatrix:
+    def test_diagonal_matrix(self):
+        d = generic_diagonal_matrix(2, 2)
+        assert d.rows[0] == (MPoly.var("xi2_1_1"), MPoly.zero())
+        assert d.trace() == generic_matrix(2, 2).trace()
+
+    @pytest.mark.parametrize("p", [
+        x(1) * x(2) - x(2) * x(1),
+        formal_trace(TracePoly.word([1, 2, 3])) - formal_trace(TracePoly.word([1, 3, 2])),
+    ], ids=["commutator", "trace-of-three"])
+    def test_two_diagonal_matrices_would_pass_a_non_identity(self, p):
+        # both vanish once x1 and x2 are both diagonal; only one may be
+        d = {i: generic_diagonal_matrix(i, 2) for i in (1, 2)}
+        d[3] = generic_matrix(3, 2)
+        assert evaluate(p, {i: d[i] for i in p.variables()}, 2).is_zero()
+        assert not is_trace_identity(p, 2)
+        assert not all_generic_verdict(p, 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_most_frequent_variable_after_the_first(self, n):
+        # x2 occurs most, so x2 is the diagonal one
+        w = TracePoly.word([1, 2, 2])
+        assert is_trace_identity(ch_poly(n).substitute({1: w}), n)
+        assert not is_trace_identity(ch_poly(n).substitute({1: w + x(1)}), n + 1)
+
+    def test_large_power_of_one_variable(self):
+        # diagonal, x^2000 is two scalar powers; the full generic power
+        # ran out of memory
+        assert not is_trace_identity(TracePoly.word([1] * 2000), 2)
 
 
 class TestNilpotentAndIdempotentTraces:
@@ -206,6 +290,41 @@ class TestDiscriminantRelation:
         model = diagonal_model((1, 2))
         subs = {f"a{j}": model.charpoly_coeffs[j - 1] for j in (1, 2, 3)}
         assert not candidate.substitute(subs).is_zero()
+
+    @pytest.mark.parametrize("mults", [
+        (2,), (1, 2), (3,), (1, 1, 2), (2, 2), (1, 3), (4,), (2, 3), (1, 4),
+        (1, 1, 3), (1, 2, 2), (1, 1, 1, 2), (5,)])
+    def test_relation_vanishes_on_the_eigenvalues(self, mults):
+        # the oracle: the x-substitution of the diagonal model
+        model = diagonal_model(mults)
+        subs = {f"a{j}": a for j, a in enumerate(model.charpoly_coeffs, start=1)}
+        assert discriminant_relation(mults).substitute(subs).is_zero()
+
+    @pytest.mark.parametrize("mults", [(2,), (1, 2), (3,), (1, 1, 2), (1, 3), (1, 1, 3),
+                                       (1, 1, 1, 2)])
+    def test_repeated_root_coordinates_decide_like_the_eigenvalues(self, mults):
+        # with one repeated eigenvalue the two substitutions are equivalent:
+        # each candidate vanishes under both or under neither
+        n = sum(mults)
+        model = diagonal_model(mults)
+        coords = repeated_root_coordinates(n, max(mults))
+        a = [MPoly.var(f"a{j}") for j in range(1, n + 1)]
+        # (n - 1) a1^2 - 2n a2 vanishes iff all eigenvalues are equal
+        candidates = [generic_discriminant(n), a[0], a[-1] * a[0] - 2 * a[-1],
+                      generic_discriminant(n) * (a[0] + 1),
+                      generic_discriminant(n) + a[-1] ** 2,
+                      (n - 1) * a[0] ** 2 - 2 * n * a[1]]
+        for candidate in candidates:
+            by_x = candidate.substitute(
+                {f"a{j}": c for j, c in enumerate(model.charpoly_coeffs, start=1)})
+            by_f = candidate.substitute(
+                {f"a{j}": c for j, c in enumerate(coords, start=1)})
+            assert by_x.is_zero() == by_f.is_zero(), candidate
+
+    def test_repeated_root_coordinates_of_one_double_root(self):
+        # (1 + f1 t)(1 + y t)^2
+        f, y = MPoly.var("f1"), MPoly.var("y")
+        assert repeated_root_coordinates(3, 2) == (f + 2 * y, 2 * f * y + y * y, f * y * y)
 
     def test_discriminant_nonvanishing_for_distinct_eigenvalues(self):
         disc = generic_discriminant(3)
