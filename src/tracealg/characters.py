@@ -1,11 +1,16 @@
 """Brute-force character tables of small finite groups.
 
 Linear characters are enumerated directly (through the commutator quotient
-when the group is nonabelian); higher-degree irreducibles are obtained by
-inducing linear characters of abelian subgroups and keeping those of norm 1.
-Every group of order < 24 is monomial, so this recovers the full table for
-everything in scope; completeness (sum of squares of degrees equals the
-order) is asserted before returning.
+when the group is nonabelian) as exponent maps G -> Z/m: a candidate is a
+homomorphism when its exponents add mod m on every pair, so the check is
+integer addition, and the values are read from one table of the m-th roots
+of unity.  Higher-degree irreducibles are obtained by inducing linear
+characters of abelian subgroups and keeping those of norm 1.  Every group of
+order < 24 is monomial, so this recovers the full table for everything in
+scope.  The search stops as soon as the distinct characters found number the
+conjugacy classes with degree square sum |G|; an abelian group is complete
+after its linear characters and never searches its subgroups.  Completeness
+is checked before returning.
 
 All values are exact elements of Q(zeta_m), m the group exponent; rational
 values are returned as Fraction.
@@ -117,32 +122,42 @@ def _generating_sequence(g: FiniteGroup):
 
 
 def linear_characters_abelian(g: FiniteGroup, m: int):
-    """All homomorphisms of an abelian group into the m-th roots of unity."""
+    """All homomorphisms of an abelian group into the m-th roots of unity.
+
+    Each candidate is an exponent map e: G -> Z/m, sending generator i of a
+    generating sequence to a multiple of m/o_i (o_i its order) and spread
+    along the group by e(x gen) = e(x) + e(gen).  It is a homomorphism when
+    e(ab) = e(a) + e(b) mod m on every pair, which is exact because zeta^i =
+    zeta^j iff i = j mod m; the values zeta^e(a) are then read from one
+    table of the m roots.
+    """
     gens = _generating_sequence(g)
-    if not gens:
-        return [tuple([Cyc.rational(m, 1)] * g.order)]
     orders = [g.element_order(a) for a in gens]
-    chars = []
+    steps = [(gen, m // o) for gen, o in zip(gens, orders)]
+    table = g.table
+    pairs = [(a, b, table[a][b]) for a in range(g.order) for b in range(g.order)]
+    maps = set()
     for powers in product(*[range(o) for o in orders]):
-        values = {g.identity: Cyc.rational(m, 1)}
+        exps = {g.identity: 0}
         frontier = [g.identity]
         while frontier:
             new = []
             for x in frontier:
-                for gen, o, p in zip(gens, orders, powers):
-                    y = g.mult(x, gen)
-                    if y not in values:
-                        values[y] = values[x] * Cyc.root(m, (m // o) * p)
+                for (gen, step), p in zip(steps, powers):
+                    y = table[x][gen]
+                    if y not in exps:
+                        exps[y] = (exps[x] + step * p) % m
                         new.append(y)
             frontier = new
-        if len(values) != g.order:
+        if len(exps) != g.order:
             continue
-        vals = tuple(values[a] for a in range(g.order))
-        if all(vals[g.mult(a, b)] == vals[a] * vals[b]
-               for a in range(g.order) for b in range(g.order)):
-            chars.append(vals)
+        e = tuple(exps[a] for a in range(g.order))
+        if all(e[ab] == (e[a] + e[b]) % m for a, b, ab in pairs):
+            maps.add(e)
+    roots = [Cyc.root(m, k) for k in range(m)]
+    chars = [tuple(roots[k] for k in e) for e in maps]
     # distinct homomorphisms of an abelian group number exactly |G|
-    uniq = sorted(set(chars), key=lambda c: [x.coeffs for x in c])
+    uniq = sorted(chars, key=lambda c: [x.coeffs for x in c])
     if len(uniq) != g.order:
         raise AssertionError(
             f"found {len(uniq)} linear characters of an abelian group of order {g.order}")
@@ -164,11 +179,13 @@ def induced_character(g: FiniteGroup, sub_elems, sub_values, m: int):
     """Character of g induced from a character of the subgroup."""
     value_of = dict(zip(sorted(sub_elems), sub_values))
     h = len(sub_elems)
+    table = g.table
+    inverses = [g.inverse(x) for x in range(g.order)]
     out = []
     for a in range(g.order):
         total = Cyc.rational(m, 0)
-        for x in range(g.order):
-            conj = g.mult(g.mult(g.inverse(x), a), x)
+        for x, x_inv in enumerate(inverses):
+            conj = table[table[x_inv][a]][x]
             if conj in value_of:
                 total = total + value_of[conj]
         out.append(total / h)
@@ -184,11 +201,12 @@ def inner_product(g: FiniteGroup, chi, psi):
     return total / g.order
 
 
-def character_table(g: FiniteGroup):
-    """All irreducible characters, as tuples of Fraction / Cyc values."""
-    m = g.exponent()
+def _irreducible_candidates(g: FiniteGroup, m: int):
+    """Irreducible characters, possibly repeated: the linear ones, then the
+    induced characters of norm 1, subgroup by subgroup.  A generator, so a
+    caller that stops early skips the subgroup search and the induction."""
+    yield from linear_characters(g, m)
     one = Cyc.rational(m, 1)
-    chars = list(linear_characters(g, m))
     for sub in abelian_subgroups(g):
         if len(sub) == g.order or len(sub) == 1:
             continue
@@ -196,16 +214,30 @@ def character_table(g: FiniteGroup):
         for lam in linear_characters_abelian(sub_group, m):
             chi = induced_character(g, sub, lam, m)
             if inner_product(g, chi, chi) == one:
-                chars.append(chi)
+                yield chi
+
+
+def character_table(g: FiniteGroup):
+    """All irreducible characters, as tuples of Fraction / Cyc values.
+
+    Candidates are taken until the distinct ones number the conjugacy
+    classes with degree square sum |G|: the table is then complete, and an
+    abelian group stops right after its linear characters.
+    """
+    m = g.exponent()
+    n_classes = len(conjugacy_classes(g))
     uniq = []
     seen = set()
-    for chi in chars:
+    degree_square_sum = 0
+    for chi in _irreducible_candidates(g, m):
         key = tuple(v.coeffs for v in chi)
         if key not in seen:
             seen.add(key)
             uniq.append(chi)
-    degree_square_sum = sum(v[g.identity].as_rational() ** 2 for v in uniq)
-    if degree_square_sum != g.order or len(uniq) != len(conjugacy_classes(g)):
+            degree_square_sum += chi[g.identity].as_rational() ** 2
+            if degree_square_sum == g.order and len(uniq) == n_classes:
+                break
+    if degree_square_sum != g.order or len(uniq) != n_classes:
         raise AssertionError(
             f"character table incomplete: {len(uniq)} characters, "
             f"degree square sum {degree_square_sum}, order {g.order}")

@@ -1,13 +1,20 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Elements are polynomials in zeta_m with Fraction coefficients, reduced
-modulo the m-th cyclotomic polynomial.  Just enough ring structure for
-character values: add, multiply, compare, divide by rationals.
+Elements are polynomials in zeta_m reduced modulo the m-th cyclotomic
+polynomial Phi_m, with coefficients normalized by ``sparse.exact``: an
+``int`` when integral, a ``Fraction`` otherwise.  Character values are sums
+of roots of unity, so they lie in Z[zeta_m], and Phi_m is monic, so the
+reduction of an integral element stays integral; a Fraction appears only
+where a rational denominator enters (a division, a rational scalar).  Just
+enough ring structure for character values: add, multiply, compare, divide
+by rationals.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+
+from .sparse import exact
 
 
 @lru_cache(maxsize=None)
@@ -42,8 +49,8 @@ def _exact_div(num, den):
 
 
 def _reduce(m: int, work: list) -> tuple:
-    """The Fractions ``work`` reduced modulo Phi_m (monic), padded to its
-    degree; ``work`` is overwritten."""
+    """The exact coefficients ``work`` reduced modulo Phi_m (monic), padded
+    to its degree; ``work`` is overwritten."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     for i in range(len(work) - 1, deg - 1, -1):
@@ -51,27 +58,34 @@ def _reduce(m: int, work: list) -> tuple:
         if q:
             for j, c in enumerate(phi):
                 work[i - deg + j] -= q * c
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(work)
+    # a Fraction input may reduce to an integral Fraction, which exact maps
+    # back to int
+    return tuple([exact(c) for c in work[:deg]]) + (0,) * (deg - len(work))
 
 
 class Cyc:
-    """An element of Q(zeta_m)."""
+    """An element of Q(zeta_m).
+
+    ``coeffs`` holds phi(m) coefficients in the basis 1, zeta, ...,
+    zeta^(phi(m)-1).  Elements built by the constructor, by a product or by
+    a rational scaling store each as ``exact`` leaves it; a sum of two
+    non-integral coefficients may be an integral Fraction, which compares
+    and hashes like the int.  ``repr`` prints the coefficients as Fractions.
+    """
 
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs):
         self.m = m
-        self.coeffs = _reduce(m, [Fraction(c) for c in coeffs])
+        self.coeffs = _reduce(m, [exact(c) for c in coeffs])
 
     @classmethod
     def _reduced(cls, m: int, coeffs: tuple) -> "Cyc":
-        """A Cyc from a tuple of Fractions already reduced modulo Phi_m.
+        """A Cyc from a tuple of coefficients already reduced modulo Phi_m.
 
-        Sums, differences and negations of reduced elements are reduced, so
-        they skip the re-wrapping and the reduction of the constructor;
-        products reduce their own Fractions.
+        Sums, differences, negations and rational multiples of reduced
+        elements are reduced, so they skip the normalization and the
+        reduction of the constructor; products reduce their own sums.
         """
         out = object.__new__(cls)
         out.m = m
@@ -80,7 +94,7 @@ class Cyc:
 
     @classmethod
     def rational(cls, m: int, value) -> "Cyc":
-        return cls(m, [Fraction(value)])
+        return cls(m, [value])
 
     @classmethod
     def root(cls, m: int, power: int = 1) -> "Cyc":
@@ -88,21 +102,26 @@ class Cyc:
         power %= m
         return cls(m, [0] * power + [1])
 
-    # -- coercion helpers -----------------------------------------------------
-    def _lift(self, other):
-        if isinstance(other, Cyc):
-            if other.m != self.m:
-                raise ValueError("mixed cyclotomic moduli")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyc.rational(self.m, other)
-        return NotImplemented
+    # -- arithmetic, with Cyc, int or Fraction operands ------------------------
+    def _check(self, other) -> None:
+        if other.m != self.m:
+            raise ValueError("mixed cyclotomic moduli")
+
+    def _plus_rational(self, r) -> "Cyc":
+        """self + r for an int or Fraction r: only the constant term moves."""
+        return Cyc._reduced(self.m, (exact(self.coeffs[0] + r),) + self.coeffs[1:])
+
+    def _scaled(self, r) -> "Cyc":
+        """self * r for an int or Fraction r, coefficient by coefficient."""
+        return Cyc._reduced(self.m, tuple([exact(a * r) if a else 0 for a in self.coeffs]))
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Cyc._reduced(self.m, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
+        if isinstance(other, Cyc):
+            self._check(other)
+            return Cyc._reduced(self.m, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
+        if isinstance(other, (int, Fraction)):
+            return self._plus_rational(other)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -110,25 +129,28 @@ class Cyc:
         return Cyc._reduced(self.m, tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Cyc._reduced(self.m, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
+        if isinstance(other, Cyc):
+            self._check(other)
+            return Cyc._reduced(self.m, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
+        if isinstance(other, (int, Fraction)):
+            return self._plus_rational(-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
+        if not isinstance(other, Cyc):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other)
             return NotImplemented
+        self._check(other)
         n = len(self.coeffs)
-        out = [Fraction(0)] * (2 * n)
+        out = [0] * (2 * n)
+        b_items = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
+            if a:
+                for j, b in b_items:
                     out[i + j] += a * b
         return Cyc._reduced(self.m, _reduce(self.m, out))
 
@@ -136,32 +158,34 @@ class Cyc:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            inv = Fraction(1) / Fraction(other)
-            return Cyc(self.m, [a * inv for a in self.coeffs])
+            return self._scaled(Fraction(1) / Fraction(other))
         return NotImplemented
 
     def __eq__(self, other):
+        if isinstance(other, Cyc):
+            self._check(other)
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             # a rational is its constant coefficient; no Cyc is built
             return self.coeffs[0] == other and not any(self.coeffs[1:])
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        return NotImplemented
 
     def __hash__(self):
+        # an integral Fraction hashes like its int, so the normal form's
+        # choice between them does not show
         return hash((self.m, self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def as_rational(self):
-        """The Fraction value if the element is rational, else None."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
+        """The value as a Fraction if the element is rational, else None."""
+        if any(self.coeffs[1:]):
+            return None
+        return Fraction(self.coeffs[0])
 
     def __repr__(self):
-        if self.as_rational() is not None:
-            return f"Cyc({self.coeffs[0]})"
-        return f"Cyc(m={self.m}, {list(self.coeffs)})"
+        r = self.as_rational()
+        if r is not None:
+            return f"Cyc({r})"
+        return f"Cyc(m={self.m}, {[Fraction(c) for c in self.coeffs]})"

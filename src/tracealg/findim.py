@@ -14,9 +14,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 
 from . import linalg
-
-
-_ZERO = Fraction(0)
+from .sparse import exact
 
 
 class AlgebraValidationError(ValueError):
@@ -59,11 +57,11 @@ class Subspace:
 
     @cached_property
     def _reducers(self) -> tuple:
-        """(pivot, other nonzero (column, entry) pairs) for each row; the
-        entry at the pivot is 1."""
+        """(pivot, other nonzero (column, entry) pairs) for each row, the
+        entries normalized by ``exact``; the entry at the pivot is 1."""
         out = []
         for row in self.rows:
-            entries = [(j, x) for j, x in enumerate(row) if x]
+            entries = [(j, exact(x)) for j, x in enumerate(row) if x]
             out.append((entries[0][0], tuple(entries[1:])))
         return tuple(out)
 
@@ -74,27 +72,32 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def reduce(self, vector) -> list:
-        """The vector minus v[p]·row for each row and its pivot p, as a list
-        of Fraction.
-
-        The result is zero exactly when the vector lies in the subspace, and
-        its entries off the pivots are the vector's image in the quotient.
-        """
+    def _residue(self, vector) -> list:
+        """The vector minus v[p]·row for each row and its pivot p, in exact
+        arithmetic: integral entries stay ``int``, as they are for the
+        kernels of integral trace forms."""
         if len(vector) != self.ambient:
             raise ValueError(f"vector of length {len(vector)} in ambient "
                              f"dimension {self.ambient}")
-        v = [x if type(x) is Fraction else Fraction(x) for x in vector]
+        v = [exact(x) for x in vector]
         for p, entries in self._reducers:
             f = v[p]
             if f:
-                v[p] = _ZERO
+                v[p] = 0
                 for j, x in entries:
                     v[j] -= f * x
         return v
 
+    def reduce(self, vector) -> list:
+        """The residue of the vector against the rows, as a list of Fraction.
+
+        The result is zero exactly when the vector lies in the subspace, and
+        its entries off the pivots are the vector's image in the quotient.
+        """
+        return [x if type(x) is Fraction else Fraction(x) for x in self._residue(vector)]
+
     def contains(self, vector) -> bool:
-        return not any(self.reduce(vector))
+        return not any(self._residue(vector))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
@@ -321,14 +324,23 @@ def trace_kernel(a: TraceAlgebra) -> Subspace:
 
 
 def check_ideal(a: TraceAlgebra, space: Subspace):
-    """Witness (vector, basis index, side) if space is not a two-sided ideal."""
+    """Witness (vector, basis index, side) if space is not a two-sided ideal.
+
+    A product with the basis vector u_i reads the structure constants
+    directly: (row u_i)_k = sum_j row_j c(j, i, k) from column i, and
+    (u_i row)_k = sum_j row_j c(i, j, k) from row i.
+    """
+    mul = a.mul
     for row in space.rows:
+        support = [(j, x) for j, x in enumerate(row) if x]
         for i in range(a.dim):
-            b = a.basis_vector(i)
-            if not space.contains(a.multiply(row, b)):
-                return (row, i, "right")
-            if not space.contains(a.multiply(b, row)):
-                return (row, i, "left")
+            for side in ("right", "left"):
+                product = [0] * a.dim
+                for j, x in support:
+                    for k, c in (mul[j][i] if side == "right" else mul[i][j]):
+                        product[k] += x * c
+                if not space.contains(product):
+                    return (row, i, side)
     return None
 
 

@@ -266,6 +266,36 @@ def _degree(v) -> int:
     return max(v.term_degrees(), default=0)
 
 
+# A degree-0 value is a polynomial in tr(1) with rational coefficients.  Its
+# powers are refused, before they are built, when a term of the result would
+# hold more than DEGREE0_MAX_TRACES factors tr(1) or a coefficient of more
+# than DEGREE0_MAX_BITS bits: tr(1)^64 and 2^32768 parse, tr(1)^65 and
+# 2^32769 do not.  Products of degree-0 factors grow only with the text.
+DEGREE0_MAX_TRACES = 64
+DEGREE0_MAX_BITS = 65536
+
+
+def _check_degree0_power(v, e: int) -> None:
+    """Raise ValueError if the degree-0 value ``v`` to the power ``e`` is
+    above the bounds.  A term of the power holds at most ``e`` times the
+    largest number of tr(1) factors of a term of ``v``, and a coefficient at
+    most ``e`` times the largest bit length of a numerator or denominator
+    (up to the few bits that binomial coefficients add)."""
+    if type(v) is tuple:
+        terms = [(v[2], v[0])]
+    else:
+        terms = [(traces, c) for (_, traces), c in v.terms.items()]
+    traces = max((len(t) for t, _ in terms), default=0)
+    if e * traces > DEGREE0_MAX_TRACES:
+        raise ValueError(f"power {e} of a factor with {traces} tr(1) in a term is "
+                         f"above the bound of {DEGREE0_MAX_TRACES} tr(1) in a term")
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for _, c in terms), default=0)
+    if e * bits > DEGREE0_MAX_BITS:
+        raise ValueError(f"power {e} of a {bits}-bit coefficient is above the "
+                         f"bound of {DEGREE0_MAX_BITS} bits")
+
+
 class _Parser:
     """Recursive descent for the rendering grammar.
 
@@ -379,8 +409,11 @@ class _Parser:
             if not e.isdigit():
                 raise ValueError(f"expected integer exponent, got {e!r}")
             e = int(e)
+            degree = _degree(v)
             if self.max_degree is not None:
-                self.check_degree(_degree(v) * e)
+                self.check_degree(degree * e)
+            if degree == 0 and e > 1:
+                _check_degree0_power(v, e)
             v = (v[0] ** e, v[1] * e, v[2] * e) if type(v) is tuple else v ** e
         return v
 
@@ -420,6 +453,8 @@ def parse_trace_poly(text: str, max_degree=None) -> TracePoly:
 
     With ``max_degree``, raise ValueError as soon as a product or power in
     the text has degree above it, before it is expanded, even when it would
-    later cancel (``x^9 - x^9``).
+    later cancel (``x^9 - x^9``).  Powers of degree-0 factors (``tr(1)``,
+    scalars) are bounded whatever ``max_degree`` is: see
+    ``DEGREE0_MAX_TRACES`` and ``DEGREE0_MAX_BITS``.
     """
     return _Parser(text, max_degree).parse()

@@ -130,6 +130,33 @@ class TestVerify:
         assert first.output == second.output
 
 
+class TestDegreeZeroPowers:
+    """Powers of tr(1) and of scalars are bounded by the parser for every
+    command (``freetrace.DEGREE0_MAX_TRACES`` and ``DEGREE0_MAX_BITS``)."""
+
+    def test_powers_at_the_bound_run(self, runner):
+        result = runner.invoke(main, ["verify", "--poly", "tr(1)^64 - 2^64", "--size", "2"])
+        assert result.exit_code == 0, result.output
+        assert "vanishes on all 2x2 matrices" in result.output
+        result = runner.invoke(main, ["polarize", "--expr", "tr(1)^64*x"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "tr(1)^64*x1\n"
+
+    @pytest.mark.parametrize("argv", [["polarize", "--expr"],
+                                      ["verify", "--size", "1", "--poly"]])
+    @pytest.mark.parametrize("expr", ["tr(1)^65", "tr(1)^20000000", "(tr(1)^8)^9",
+                                      "2^2000000000", "(2^32768)^2"])
+    def test_powers_above_the_bound_exit_2_at_once(self, runner, argv, expr):
+        # tr(1)^20000000 exited 1 with a MemoryError traceback
+        start = time.perf_counter()
+        result = runner.invoke(main, argv + [expr])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert re.search(r"above the bound of (64 tr\(1\) in a term|65536 bits)",
+                         result.output), result.output
+
+
 class TestAlgebraCommands:
     def test_kernel(self, runner, tmp_path):
         path = tmp_path / "dual.json"

@@ -10,6 +10,7 @@ from tracealg.characters import character_table
 from tracealg.chident import ch_multilinear
 from tracealg.findim import (AlgebraValidationError, Subspace, TraceAlgebra,
                              WeightedType, ch_degree, ch_identity_failure,
+                             check_ideal,
                              dual_numbers, ideal_dot_product, make_algebra,
                              quotient_algebra, radical_kernel, recover_weights,
                              rescale_trace, trace_kernel, weighted_semisimple)
@@ -347,3 +348,38 @@ oracle_algebras = st.one_of(
 @given(oracle_algebras, st.integers(1, 3))
 def test_recursion_matches_the_evaluated_identity(a, n):
     assert ch_identity_failure(a, n) == first_failure_by_evaluation(a, n)
+
+
+# -- check_ideal against products with one-hot basis vectors ---------------------
+
+def reference_check_ideal(a, space):
+    """The ideal test through the general product with each basis vector."""
+    for row in space.rows:
+        for i in range(a.dim):
+            b = a.basis_vector(i)
+            if not space.contains(a.multiply(row, b)):
+                return (row, i, "right")
+            if not space.contains(a.multiply(b, row)):
+                return (row, i, "left")
+    return None
+
+
+class TestCheckIdeal:
+    def test_one_sided_ideals_of_m2_name_the_failing_side(self):
+        a = m2_structure([1, 0, 0, 1])
+        first_column = Subspace.from_vectors(4, [a.basis_vector(0), a.basis_vector(2)])
+        first_row = Subspace.from_vectors(4, [a.basis_vector(0), a.basis_vector(1)])
+        # e11 e12 = e12 leaves the column space; e21 e11 = e21 the row space
+        assert check_ideal(a, first_column) == (first_column.rows[0], 1, "right")
+        assert check_ideal(a, first_row) == (first_row.rows[0], 2, "left")
+        upper = upper_triangular(1, 1)
+        assert check_ideal(upper, trace_kernel(upper)) is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(oracle_algebras, st.data())
+def test_check_ideal_matches_the_one_hot_products(a, data):
+    vectors = data.draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=a.dim, max_size=a.dim), max_size=3))
+    for space in (Subspace.from_vectors(a.dim, vectors), trace_kernel(a)):
+        assert check_ideal(a, space) == reference_check_ideal(a, space)

@@ -387,6 +387,30 @@ class TestParserDegreeBound:
         assert parse_trace_poly(text, max_degree=8) == parse_trace_poly(text)
 
 
+class TestDegreeZeroPowerBound:
+    @pytest.mark.parametrize("text", ["tr(1)^64", "2^32768", "(tr(1)^8)^8",
+                                      "(tr(1) + 1)^64", "(1/2)^32768", "(-3)^32768",
+                                      "(tr(1)^64*tr(1))^1", "x^100*tr(1)^64"])
+    def test_at_the_bound_parses_as_the_reference(self, text):
+        assert parse_trace_poly(text) == _ReferenceParser(text).parse()
+
+    @pytest.mark.parametrize("text, message", [
+        ("tr(1)^65", "power 65 of a factor with 1 tr(1) in a term"),
+        ("(tr(1)^8)^9", "power 9 of a factor with 8 tr(1) in a term"),
+        ("(tr(1) + 1)^65", "power 65 of a factor with 1 tr(1) in a term"),
+        ("tr(tr(1))^33", "power 33 of a factor with 2 tr(1) in a term"),
+        ("tr(1)^20000000", "power 20000000 of a factor with 1 tr(1) in a term"),
+        ("2^32769", "power 32769 of a 2-bit coefficient"),
+        ("(1/2)^32769", "power 32769 of a 2-bit coefficient"),
+        ("(2^32768)^2", "power 2 of a 32769-bit coefficient"),
+        ("0^99999999999999999999", "power 99999999999999999999 of a 1-bit coefficient")])
+    def test_above_the_bound_is_refused_before_expansion(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message) + " is above the bound"):
+            parse_trace_poly(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_trace_poly(text, max_degree=8)
+
+
 def test_constructors_store_integer_coefficients():
     for p in (TracePoly.scalar(Fraction(6, 3)), TracePoly.variable(2),
               TracePoly.monomial((1, 2), [(2, 1)]), parse_trace_poly("2*x - 4/2*tr(x)")):

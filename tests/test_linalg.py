@@ -152,6 +152,9 @@ def test_contains_agrees_with_the_rank_oracle(data):
     other = data.draw(st.lists(_entries, min_size=d, max_size=d))
     assert space.contains(other) == (rank_oracle(vectors + [other]) == rank_oracle(vectors))
     reduced = space.reduce(other)
+    # membership reduces in exact int/Fraction arithmetic; reduce still
+    # hands out Fractions, the coordinates of the quotient projection
+    assert all(type(x) is Fraction for x in reduced)
     assert all(reduced[p] == 0 for p in space.pivots)
     assert space.contains([Fraction(a) - b for a, b in zip(other, reduced)])
 

@@ -2,8 +2,8 @@
 
 Library checks must survive ``python -O``, which strips ``assert``, no
 module imports a name it never uses, every function is referenced
-somewhere, ``findim`` imports no free-algebra module and ``linalg`` no
-``tracealg`` module at all.
+somewhere, ``findim`` imports no free-algebra module, ``cyclotomic`` only
+``sparse`` and ``linalg`` no ``tracealg`` module at all.
 """
 import ast
 from pathlib import Path
@@ -115,3 +115,11 @@ def test_linalg_is_the_bottom_layer():
     ``tracealg`` module, relative or absolute."""
     found = sorted(_imported_modules("linalg") & ({p.stem for p in SOURCES} | {"tracealg"}))
     assert not found, f"linalg.py imports {found}"
+
+
+def test_cyclotomic_is_an_exact_scalar():
+    """``cyclotomic`` sits in the bottom layer with ``int`` and ``Fraction``:
+    of the package it imports only ``sparse``, for the ``exact`` normal form
+    of its coefficients."""
+    found = sorted(_imported_modules("cyclotomic") & ({p.stem for p in SOURCES} | {"tracealg"}))
+    assert found == ["sparse"], f"cyclotomic.py imports {found}"

@@ -1,14 +1,20 @@
 """Pseudocharacter axioms, kernels and brute-force character tables."""
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracealg.characters import (character_table, conjugacy_classes,
-                                 inner_product)
+from tracealg import characters
+from tracealg.characters import (_char_sort_key, _generating_sequence,
+                                 _sub_table, abelian_subgroups, character_table,
+                                 commutator_subgroup, conjugacy_classes,
+                                 induced_character, inner_product,
+                                 linear_characters_abelian, quotient_group)
 from tracealg.cyclotomic import Cyc
 from tracealg.findim import ch_degree, trace_kernel
 from tracealg.pseudochar import (FiniteGroup, GroupValidationError,
@@ -198,39 +204,76 @@ def test_recursion_matches_permutation_sum(case):
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# mixed operands: ints, integral Fractions and proper fractions
+scalars = st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(Fraction), rationals)
+coefficient_lists = st.lists(scalars, max_size=24)
+
+
+def _exact_normal_form(coeffs):
+    """Every coefficient an int when integral and a Fraction otherwise."""
+    return all(type(c) is int if Fraction(c).denominator == 1 else type(c) is Fraction
+               for c in coeffs)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 12), st.lists(rationals, max_size=6),
-       st.lists(rationals, max_size=6), rationals)
+@given(st.integers(1, 12), st.lists(scalars, max_size=6),
+       st.lists(scalars, max_size=6), scalars)
 def test_cyc_rational_comparison_and_subtraction(m, a, b, r):
     x, y = Cyc(m, a), Cyc(m, b)
     assert (x == r) == (x.coeffs == Cyc.rational(m, r).coeffs)
     assert Cyc.rational(m, r) == r and Cyc.rational(m, r) + x - x == r
+    assert Cyc.rational(m, r).as_rational() == r
+    assert type(Cyc.rational(m, r).as_rational()) is Fraction
     assert (x - y).coeffs == (x + (-y)).coeffs
     assert (x - r).coeffs == (x + Cyc.rational(m, -r)).coeffs
+    assert x * r == r * x == x * Cyc.rational(m, r)
+    assert (x == x * 1) and (x * 0 == 0) and (x + r == r + x)
+    if r:
+        assert x / r == x * Cyc.rational(m, 1 / Fraction(r))
+        assert (x / r) * r == x
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.lists(rationals, max_size=24),
-       st.lists(rationals, max_size=24), rationals)
+@given(st.sampled_from([1, 3, 4, 5, 8, 12]), coefficient_lists, coefficient_lists, scalars)
 def test_cyc_linear_ops_match_the_reducing_constructor(m, a, b, r):
     x, y = Cyc(m, a), Cyc(m, b)
-    cases = [
+    assert _exact_normal_form(x.coeffs) and _exact_normal_form(y.coeffs)
+    rc = Cyc.rational(m, r).coeffs
+    raw_product = [sum((x.coeffs[i] * y.coeffs[k - i] for i in range(len(x.coeffs))
+                        if 0 <= k - i < len(y.coeffs)), Fraction(0))
+                   for k in range(2 * len(x.coeffs))]
+    # sums and differences skip the normalization: they compare and hash equal
+    sums = [
         (x + y, [p + q for p, q in zip(x.coeffs, y.coeffs)]),
         (x - y, [p - q for p, q in zip(x.coeffs, y.coeffs)]),
         (-x, [-p for p in x.coeffs]),
-        (x + r, [p + q for p, q in zip(x.coeffs, Cyc.rational(m, r).coeffs)]),
-        (r - x, [q - p for p, q in zip(x.coeffs, Cyc.rational(m, r).coeffs)]),
-        (x * y, [sum((x.coeffs[i] * y.coeffs[k - i] for i in range(len(x.coeffs))
-                      if 0 <= k - i < len(y.coeffs)), Fraction(0))
-                 for k in range(2 * len(x.coeffs))]),
+        (x + r, [p + q for p, q in zip(x.coeffs, rc)]),
+        (r - x, [q - p for p, q in zip(x.coeffs, rc)]),
     ]
-    for got, raw in cases:
+    # products and rational scalings are stored in the exact normal form
+    normalized = [(x * y, raw_product), (x * r, [p * r for p in x.coeffs]),
+                  (r * x, [p * r for p in x.coeffs])]
+    if r:
+        normalized.append((x / r, [p / Fraction(r) for p in x.coeffs]))
+    for got, raw in sums + normalized:
         want = Cyc(m, raw)
         assert got.m == m and got.coeffs == want.coeffs
-        assert all(type(c) is Fraction for c in got.coeffs)
-        assert got == want and hash(got) == hash(want)
+        assert _exact_normal_form(want.coeffs)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    for got, _ in normalized:
+        assert _exact_normal_form(got.coeffs)
+
+
+def test_cyc_repr_and_hash_read_the_coefficients_as_fractions():
+    z = Cyc.root(12, 1)
+    assert z.coeffs == (0, 1, 0, 0) and all(type(c) is int for c in z.coeffs)
+    assert repr(z) == "Cyc(m=12, [Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)])"
+    assert hash(z) == hash((12, tuple(Fraction(c) for c in z.coeffs)))
+    assert repr(Cyc.rational(12, 3)) == "Cyc(3)" and repr(z / 2) == \
+        "Cyc(m=12, [Fraction(0, 1), Fraction(1, 2), Fraction(0, 1), Fraction(0, 1)])"
+    # a sum of halves is an integral Fraction, equal and hash-equal to the int
+    half = z / 2
+    assert (half + half) == z and hash(half + half) == hash(z)
 
 
 def _reference_report(p):
@@ -381,3 +424,131 @@ class TestCharacterTables:
         nonrational = [chi for chi in table
                        if any(isinstance(v, Cyc) for v in chi)]
         assert len(nonrational) == 2
+
+
+# -- the character table against the Cyc-product oracle -------------------------
+
+def _reference_linear_characters_abelian(g, m):
+    """Linear characters as the products of Cyc roots, each checked on
+    every pair: the routine the exponent maps replaced."""
+    gens = _generating_sequence(g)
+    if not gens:
+        return [tuple([Cyc.rational(m, 1)] * g.order)]
+    orders = [g.element_order(a) for a in gens]
+    chars = []
+    for powers in product(*[range(o) for o in orders]):
+        values = {g.identity: Cyc.rational(m, 1)}
+        frontier = [g.identity]
+        while frontier:
+            new = []
+            for x in frontier:
+                for gen, o, p in zip(gens, orders, powers):
+                    y = g.mult(x, gen)
+                    if y not in values:
+                        values[y] = values[x] * Cyc.root(m, (m // o) * p)
+                        new.append(y)
+            frontier = new
+        if len(values) != g.order:
+            continue
+        vals = tuple(values[a] for a in range(g.order))
+        if all(vals[g.mult(a, b)] == vals[a] * vals[b]
+               for a in range(g.order) for b in range(g.order)):
+            chars.append(vals)
+    return sorted(set(chars), key=lambda c: [x.coeffs for x in c])
+
+
+def _reference_character_table(g):
+    """Every induced character of every abelian subgroup, with no early
+    stop, from the oracle's linear characters."""
+    m = g.exponent()
+    derived = commutator_subgroup(g)
+    if len(derived) == 1:
+        chars = _reference_linear_characters_abelian(g, m)
+    else:
+        quotient, coset_of = quotient_group(g, derived)
+        chars = [tuple(chi[coset_of[a]] for a in range(g.order))
+                 for chi in _reference_linear_characters_abelian(quotient, m)]
+    for sub in abelian_subgroups(g):
+        if 1 < len(sub) < g.order:
+            for lam in _reference_linear_characters_abelian(_sub_table(g, sub)[0], m):
+                chi = induced_character(g, sub, lam, m)
+                if inner_product(g, chi, chi) == Cyc.rational(m, 1):
+                    chars.append(chi)
+    uniq = {tuple(v.coeffs for v in chi): chi for chi in chars}.values()
+    out = [tuple(v.as_rational() for v in chi)
+           if all(v.as_rational() is not None for v in chi) else chi for chi in uniq]
+    return sorted(out, key=_char_sort_key)
+
+
+SESSION_GROUPS = {
+    "C2": cyclic_group(2), "C3": cyclic_group(3), "C4": cyclic_group(4),
+    "V4": klein_four_group(), "C5": cyclic_group(5), "S3": symmetric_group_3(),
+    "C6": cyclic_group(6), "D4": dihedral_group(4), "Q8": quaternion_group(),
+    "C4xC2": direct_product(cyclic_group(4), cyclic_group(2)),
+    "D5": dihedral_group(5), "D6": dihedral_group(6), "C12": cyclic_group(12),
+}
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            table[perm[a]][perm[b]] = perm[g.mult(a, b)]
+    return make_group(table)
+
+
+def _session_groups_and_relabelings():
+    for name, g in SESSION_GROUPS.items():
+        yield name, g
+        for seed in range(3):
+            yield f"{name}/relabel{seed}", _relabeled(g, seed)
+
+
+def _same_values(got, want):
+    return repr(got) == repr(want) and \
+        [tuple(map(hash, chi)) for chi in got] == [tuple(map(hash, chi)) for chi in want]
+
+
+class TestCharacterTableOracle:
+    def test_exponent_maps_match_the_cyc_products(self):
+        # every abelian group the table reads: the group or its abelianization,
+        # and each abelian subgroup it induces from
+        for name, g in _session_groups_and_relabelings():
+            m = g.exponent()
+            derived = commutator_subgroup(g)
+            targets = [g if len(derived) == 1 else quotient_group(g, derived)[0]]
+            targets += [_sub_table(g, sub)[0] for sub in abelian_subgroups(g)]
+            for h in targets:
+                got = linear_characters_abelian(h, m)
+                assert len(got) == h.order, name
+                assert _same_values(got, _reference_linear_characters_abelian(h, m)), name
+
+    def test_table_matches_the_reference_without_early_stop(self):
+        for name, g in _session_groups_and_relabelings():
+            got = character_table(g)
+            assert _same_values(got, _reference_character_table(g)), name
+            assert all(type(v) is Fraction for chi in got for v in chi
+                       if not isinstance(v, Cyc)), name
+
+    @pytest.mark.parametrize("name, induces", [("C12", False), ("C4xC2", False),
+                                               ("S3", True)])
+    def test_abelian_tables_stop_after_the_linear_characters(self, monkeypatch,
+                                                             name, induces):
+        calls = Counter()
+
+        def counting(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        for fn in (abelian_subgroups, induced_character):
+            monkeypatch.setattr(characters, fn.__name__, counting(fn))
+        table = character_table(SESSION_GROUPS[name])
+        assert len(table) == len(conjugacy_classes(SESSION_GROUPS[name]))
+        if induces:  # the counting reaches the calls of a nonabelian table
+            assert calls["abelian_subgroups"] == 1 and calls["induced_character"] > 0
+        else:
+            assert not calls, dict(calls)
