@@ -104,14 +104,9 @@ class PermCycles:
         return cls(n, tuple(cycles))
 
 
-def t_sigma(perm: PermCycles, variables=None) -> TracePoly:
+def t_sigma(perm: PermCycles) -> TracePoly:
     """T_sigma: one trace symbol per cycle of the permutation."""
-    if variables is None:
-        variables = list(range(1, perm.size + 1))
-    if len(variables) != perm.size:
-        raise ValueError("variable list must match permutation size")
-    return TracePoly.monomial(
-        (), [tuple(variables[i - 1] for i in cyc) for cyc in perm.cycles])
+    return TracePoly.monomial((), perm.cycles)
 
 
 @lru_cache(maxsize=None)
@@ -149,16 +144,15 @@ def ch_multilinear(n: int) -> TracePoly:
     return TracePoly.sum(((-1) ** n * perm.sign, _psi_sigma_term(perm, n)) for perm in perms)
 
 
-def polarize(p: TracePoly, variable: int = 1) -> TracePoly:
-    """Full polarization of a homogeneous one-variable polynomial.
+def polarize(p: TracePoly) -> TracePoly:
+    """Full polarization of a homogeneous polynomial in x_1.
 
     The multilinear component of p(x_1 + ... + x_k), k the homogeneous
     degree: each term contributes one monomial per bijection between its k
     letter occurrences and x_1..x_k.  Restitution then recovers k! times the
     input.
     """
-    vars_used = p.variables()
-    if vars_used - {variable}:
+    if p.variables() - {1}:
         raise ValueError("polarize expects a polynomial in a single variable")
     degrees = p.term_degrees()
     if len(degrees) != 1:
@@ -183,6 +177,6 @@ def _relabelings(w, traces, k: int):
         yield TracePoly.monomial(images[:len(w)], trace_words)
 
 
-def restitute(p: TracePoly, variable: int = 1) -> TracePoly:
-    """Set every variable of p equal to the given one."""
-    return p.substitute({v: TracePoly.variable(variable) for v in p.variables()})
+def restitute(p: TracePoly) -> TracePoly:
+    """Set every variable of p equal to x_1."""
+    return p.substitute({v: TracePoly.variable(1) for v in p.variables()})

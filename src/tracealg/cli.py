@@ -216,14 +216,26 @@ def check(group_path, char_path, seed):
     sys.exit(1)
 
 
+# the discriminant of the generic degree-n polynomial and its check take
+# 0.4-1.3 s at n = 7, and 6-18 s and 0.3-0.5 GB at n = 8 (Python 3.11.7, 2 cores)
+ONEVAR_MAX_WEIGHT = 7
+# strata --poset json takes about 1.2 s and 62 MB at n = 16 and 2.3 s and
+# 126 MB at n = 18; the type count grows about 1.5x per step (3186 types at
+# n = 16, 6959 at n = 18; Python 3.11.7, 2 cores)
+STRATA_MAX_N = 16
+
+
 @main.command("strata")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=int, required=True,
+              help=f"Matrix size, at most {STRATA_MAX_N}.")
 @click.option("--ell", type=int, required=True)
 @click.option("--poset", "poset_format", type=click.Choice(["dot", "json"]),
               default=None, help="Emit the closure poset.")
 @click.option("--dims", "show_dims", is_flag=True, help="Print dimension table.")
 def strata_cmd(n, ell, poset_format, show_dims):
     """Enumerate stratum types; optionally the closure poset and dimensions."""
+    if n > STRATA_MAX_N:
+        _fail_usage(f"--n {n} is above the bound {STRATA_MAX_N}")
     try:
         poset = strata.stratification_poset(n, ell)
     except ValueError as exc:
@@ -249,11 +261,6 @@ def strata_cmd(n, ell, poset_format, show_dims):
     for e in flagged:
         click.echo(f"  codim-1: {e.lower.label()} < {e.upper.label()} "
                    "(ell=2, 2x2 block split)")
-
-
-# the discriminant of the generic degree-n polynomial and its check take
-# 0.4-1.3 s at n = 7, and 6-18 s and 0.3-0.5 GB at n = 8 (Python 3.11.7, 2 cores)
-ONEVAR_MAX_WEIGHT = 7
 
 
 @main.command()

@@ -193,9 +193,9 @@ class TraceAlgebra:
         """G[i][j] = t(v_i v_j), the trace form on the given vectors."""
         return [[self.trace_of(self.multiply(x, y)) for y in vectors] for x in vectors]
 
-    def element_is_nilpotent(self, x, max_power=None):
-        """Smallest k <= max_power with x^k = 0, or None."""
-        cap = max_power if max_power is not None else self.dim
+    def element_is_nilpotent(self, x):
+        """Smallest k <= dim with x^k = 0, or None."""
+        cap = self.dim
         power = x
         for k in range(1, cap + 1):
             if all(c == 0 for c in power):

@@ -267,33 +267,47 @@ def _degree(v) -> int:
 
 
 # A degree-0 value is a polynomial in tr(1) with rational coefficients.  Its
-# powers are refused, before they are built, when a term of the result would
-# hold more than DEGREE0_MAX_TRACES factors tr(1) or a coefficient of more
-# than DEGREE0_MAX_BITS bits: tr(1)^64 and 2^32768 parse, tr(1)^65 and
-# 2^32769 do not.  Products of degree-0 factors grow only with the text.
+# powers, and every product in which a factor is a sum, are refused before
+# they are built when a term of the result could hold more than
+# DEGREE0_MAX_TRACES factors tr(1) or a coefficient of more than
+# DEGREE0_MAX_BITS bits: tr(1)^64, 2^32768 and (tr(1)+1)^32*(tr(1)+1)^32
+# parse, tr(1)^65, 2^32769 and (tr(1)+1)^64*(tr(1)+1) do not.  A product of
+# monomials grows only with the text.
 DEGREE0_MAX_TRACES = 64
 DEGREE0_MAX_BITS = 65536
 
 
-def _check_degree0_power(v, e: int) -> None:
-    """Raise ValueError if the degree-0 value ``v`` to the power ``e`` is
-    above the bounds.  A term of the power holds at most ``e`` times the
-    largest number of tr(1) factors of a term of ``v``, and a coefficient at
-    most ``e`` times the largest bit length of a numerator or denominator
-    (up to the few bits that binomial coefficients add)."""
+def _size(v):
+    """The largest number of tr(1) factors in a term of ``v`` and the
+    largest bit length of a numerator or denominator of its coefficients."""
     if type(v) is tuple:
         terms = [(v[2], v[0])]
     else:
         terms = [(traces, c) for (_, traces), c in v.terms.items()]
-    traces = max((len(t) for t, _ in terms), default=0)
-    if e * traces > DEGREE0_MAX_TRACES:
-        raise ValueError(f"power {e} of a factor with {traces} tr(1) in a term is "
-                         f"above the bound of {DEGREE0_MAX_TRACES} tr(1) in a term")
+    traces = max((t.count(()) for t, _ in terms), default=0)
     bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
                 for _, c in terms), default=0)
-    if e * bits > DEGREE0_MAX_BITS:
-        raise ValueError(f"power {e} of a {bits}-bit coefficient is above the "
-                         f"bound of {DEGREE0_MAX_BITS} bits")
+    return traces, bits
+
+
+def _check_size(factors, e: int = 1) -> None:
+    """Raise ValueError if the product of ``factors``, each a pair of
+    ``_size``, to the power ``e`` is above the bounds.  A term of it holds
+    at most the sum of the factors' tr(1) counts, times ``e``, and a
+    coefficient at most the sum of their bit lengths, times ``e`` (up to
+    the few bits that binomial coefficients and sums of products add)."""
+    traces = e * sum(t for t, _ in factors)
+    if traces > DEGREE0_MAX_TRACES:
+        what = (f"power {e} of a factor with {factors[0][0]}" if e > 1 else
+                "product of factors with " + " and ".join(str(t) for t, _ in factors))
+        raise ValueError(f"{what} tr(1) in a term is above the bound of "
+                         f"{DEGREE0_MAX_TRACES} tr(1) in a term")
+    bits = e * sum(b for _, b in factors)
+    if bits > DEGREE0_MAX_BITS:
+        what = (f"power {e} of a {factors[0][1]}-bit coefficient" if e > 1 else
+                "product of " + " and ".join(f"{b}-bit" for _, b in factors)
+                + " coefficients")
+        raise ValueError(f"{what} is above the bound of {DEGREE0_MAX_BITS} bits")
 
 
 class _Parser:
@@ -398,6 +412,7 @@ class _Parser:
             if type(v) is tuple and type(f) is tuple:
                 v = (v[0] * f[0], v[1] + f[1], v[2] + f[2])
             else:
+                _check_size([_size(v), _size(f)])
                 v = _as_poly(v) * _as_poly(f)
         return v
 
@@ -413,7 +428,7 @@ class _Parser:
             if self.max_degree is not None:
                 self.check_degree(degree * e)
             if degree == 0 and e > 1:
-                _check_degree0_power(v, e)
+                _check_size([_size(v)], e)
             v = (v[0] ** e, v[1] * e, v[2] * e) if type(v) is tuple else v ** e
         return v
 
@@ -454,7 +469,7 @@ def parse_trace_poly(text: str, max_degree=None) -> TracePoly:
     With ``max_degree``, raise ValueError as soon as a product or power in
     the text has degree above it, before it is expanded, even when it would
     later cancel (``x^9 - x^9``).  Powers of degree-0 factors (``tr(1)``,
-    scalars) are bounded whatever ``max_degree`` is: see
-    ``DEGREE0_MAX_TRACES`` and ``DEGREE0_MAX_BITS``.
+    scalars) and products with a sum as a factor are bounded whatever
+    ``max_degree`` is: see ``DEGREE0_MAX_TRACES`` and ``DEGREE0_MAX_BITS``.
     """
     return _Parser(text, max_degree).parse()

@@ -113,9 +113,8 @@ def is_trace_identity(p: TracePoly, n: int) -> bool:
     return evaluate(denom * p, assignment, n).is_zero()
 
 
-def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0,
-                          entry_bound: int = 3):
-    """Search for rational matrices where p does not vanish.
+def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0):
+    """Search for integer matrices, entries in [-3, 3], where p does not vanish.
 
     Returns {variable: PolyMatrix} with a nonzero exact evaluation, or None.
     Finding nothing proves nothing; use is_trace_identity for certainty.
@@ -126,7 +125,7 @@ def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0,
     variables = sorted(p.variables())
     for _ in range(trials):
         assignment = {
-            i: rational_matrix([[rng.randint(-entry_bound, entry_bound)
+            i: rational_matrix([[rng.randint(-3, 3)
                                  for _ in range(n)] for _ in range(n)])
             for i in variables
         }

@@ -63,11 +63,14 @@ class GenericRankReport:
         return self.stabilized and not self.unverified_words
 
 
+# a relation for a word of length e is searched in degrees e .. e + this slack
+RELATION_DEGREE_SLACK = 2
+
+
 class _RankEngine:
-    def __init__(self, algebra: TraceAlgebra, ell: int, seed: int, slack: int):
+    def __init__(self, algebra: TraceAlgebra, ell: int, seed: int):
         self.a = algebra
         self.ell = ell
-        self.slack = slack
         self.rng = random.Random(seed)
         d = algebra.dim
         self.generic_symbolic = {
@@ -177,7 +180,7 @@ class _RankEngine:
         """Verified relation t_0 * v(w) = sum t_i * v(b_i) with t_0 != 0 in the
         trace ring, searched degree by degree, or None."""
         e = len(w)
-        for extra in range(self.slack + 1):
+        for extra in range(RELATION_DEGREE_SLACK + 1):
             degree = e + extra
             blocks = [(w, +1, self.trace_piece(degree - e))]
             for b in basis_words:
@@ -263,7 +266,7 @@ class _RankEngine:
 
 
 def generic_algebra_rank(algebra: TraceAlgebra, ell: int, degree_cap: int = None,
-                         seed: int = 0, relation_degree_slack: int = 2) -> GenericRankReport:
+                         seed: int = 0) -> GenericRankReport:
     """Dimension over the trace fraction field of the generic-element algebra.
 
     Explores monomials in the ell generic elements breadth-first, certifying
@@ -277,7 +280,7 @@ def generic_algebra_rank(algebra: TraceAlgebra, ell: int, degree_cap: int = None
         degree_cap = 2 * algebra.dim * algebra.dim
     if degree_cap < algebra.dim:
         raise ValueError("degree_cap must be at least the algebra dimension")
-    engine = _RankEngine(algebra, ell, seed, relation_degree_slack)
+    engine = _RankEngine(algebra, ell, seed)
 
     report = GenericRankReport(rank=0, stabilized=True, word_length_cap=degree_cap,
                                max_length_used=0, basis_words=[])

@@ -3,9 +3,12 @@
 A stratum type is a multiset of (block size m, weight a) pairs with
 sum m*a = n; it records the isomorphism type of the block-diagonal algebra
 generated by a tuple lying on a closed orbit, together with the embedding
-multiplicities.  The closure order is decided by searching for a
-nonnegative-integer embedding matrix; dimensions come from closed formulas
-in n, the block data and the number of tuple coordinates ell.
+multiplicities.  One type lies below another in the closure order iff a
+nonnegative-integer embedding matrix exists (closure_leq searches for one);
+the covering relations are exactly the one-step moves of
+maximal_degenerations, which split a block or merge two equal-size blocks
+(the proof is in stratification_poset).  Dimensions come from closed
+formulas in n, the block data and the number of tuple coordinates ell.
 """
 from __future__ import annotations
 
@@ -110,7 +113,7 @@ def _size_partition(s: StratumType) -> list:
 
 
 @lru_cache(maxsize=None)
-def closure_leq(lower: StratumType, upper: StratumType, n: int = None) -> bool:
+def closure_leq(lower: StratumType, upper: StratumType) -> bool:
     """True iff the lower stratum lies in the closure of the upper one.
 
     Decided by searching for a nonnegative-integer matrix r with
@@ -125,9 +128,7 @@ def closure_leq(lower: StratumType, upper: StratumType, n: int = None) -> bool:
     most constrained), and records each state (row i, lower weights still
     to cover) it has failed from, so no state is explored twice.
     """
-    if n is None:
-        n = upper.n
-    if lower.n != n or upper.n != n:
+    if lower.n != upper.n:
         raise ValueError(f"stratum types have mismatched n: {lower.n} vs {upper.n}")
     if any(u < l for u, l in zip(accumulate(_size_partition(upper)),
                                  accumulate(_size_partition(lower)))):
@@ -231,11 +232,12 @@ class StrataPoset:
                 {
                     "type": s.label(),
                     "pairs": list(list(p) for p in s.pairs),
-                    "stratum_dim": stratum_dims(s, self.ell).stratum_dim,
-                    "sheet_dim": stratum_dims(s, self.ell).sheet_dim,
-                    "stabilizer_dim": stratum_dims(s, self.ell).stabilizer_dim,
+                    "stratum_dim": d.stratum_dim,
+                    "sheet_dim": d.sheet_dim,
+                    "stabilizer_dim": d.stabilizer_dim,
                 }
                 for s in self.nodes
+                for d in [stratum_dims(s, self.ell)]
             ],
             "covers": [
                 {"lower": e.lower.label(), "upper": e.upper.label(),
@@ -259,42 +261,37 @@ def _is_two_split(lower: StratumType, upper: StratumType) -> bool:
 def stratification_poset(n: int, ell: int) -> StrataPoset:
     """Closure poset of all stratum types for the given n and ell.
 
-    Every relation t < s is certified by an embedding.  Each move of
-    maximal_degenerations (split one block, merge two equal-size blocks) is
-    an explicit embedding and embeddings compose, so a chain of moves
-    certifies t < s; every pair that no chain reaches is decided by
-    closure_leq's embedding search.  The covers of s are the types below s
-    that lie below no other type below s.  Covering edges carry the
-    dimension drop; every codimension-1 edge is checked to be the one known
-    exception (ell = 2 and a 2x2 block splitting into two lines) and flagged.
+    The covering relations are exactly the moves of maximal_degenerations:
+    t is covered by s iff t is s with one block split, or with two
+    equal-size blocks merged.  Two facts prove it.
+
+    1. Every relation is a chain of moves.  Take an embedding matrix r for
+       t <= s (see closure_leq).  Split each block (m_i, a_i) of s, one
+       binary split at a time, into r[i][j] pieces of size m'_j, each of
+       weight a_i.  Then, for each block j of t, merge its pieces: they all
+       have size m'_j, and their weights sum to a'_j >= 1.
+    2. No move factors through a third type.  A split adds a parts (the
+       sum of the weights a), adds one block and keeps sum a^2 m.  A merge
+       of (m, a1), (m, a2) keeps sum a, removes one block and raises
+       sum a^2 m by 2 a1 a2 m > 0.  So a chain of moves that ends at the
+       target of a merge has no split and, counting blocks, exactly one
+       merge; a chain that ends at the target of a split has no merge and
+       exactly one split.
+
+    By 1, a cover of s is reached from s by a chain of moves, and the first
+    move of that chain can only be the cover itself; by 2, every move is a
+    cover.  Covering edges carry the dimension drop; every codimension-1
+    edge is checked to be the one known exception (ell = 2 and a 2x2 block
+    splitting into two lines) and flagged.
     """
     if n < 1 or ell < 2:
         raise ValueError("need n >= 1 and ell >= 2")
     nodes = enumerate_types(n)
-    index = {s: i for i, s in enumerate(nodes)}
-    # down[i] has bit j set iff nodes[j] lies strictly below nodes[i].  A move
-    # adds parts to the size partition, or keeps it and removes a block, so
-    # in this order every move's target is visited before its source.
-    down = [0] * len(nodes)
-    for s in sorted(nodes, key=lambda s: (-len(_size_partition(s)), s.block_count)):
-        i = index[s]
-        for t, _ in maximal_degenerations(s, ell):
-            down[i] |= 1 << index[t] | down[index[t]]
-    for i, s in enumerate(nodes):
-        for j, t in enumerate(nodes):
-            if j != i and not down[i] >> j & 1 and closure_leq(t, s, n):
-                down[i] |= 1 << j
     covers = []
-    for i, s in enumerate(nodes):
-        below = [j for j in range(len(nodes)) if down[i] >> j & 1]
-        through = 0
-        for j in below:
-            through |= down[j]
-        for j in below:
-            if through >> j & 1:
-                continue
-            t = nodes[j]
-            drop = stratum_dims(s, ell).stratum_dim - stratum_dims(t, ell).stratum_dim
+    for s in nodes:
+        s_dim = stratum_dims(s, ell).stratum_dim
+        for t, _ in maximal_degenerations(s, ell):
+            drop = s_dim - stratum_dims(t, ell).stratum_dim
             flagged = drop == 1
             if flagged and not (ell == 2 and _is_two_split(t, s)):
                 raise AssertionError(

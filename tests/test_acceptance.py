@@ -188,7 +188,7 @@ def test_criterion_8_strata():
             assert stratum_dims(open_stratum, ell).stratum_dim == \
                 (ell - 1) * n * n + 1
             for s in types:
-                assert closure_leq(s, open_stratum, n)
+                assert closure_leq(s, open_stratum)
             for edge in poset.covers:
                 lower_dim = stratum_dims(edge.lower, ell).stratum_dim
                 upper_dim = stratum_dims(edge.upper, ell).stratum_dim

@@ -1,14 +1,20 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from tracealg.characters import character_table
-from tracealg.cli import main
+import tracealg
+from tracealg.cli import STRATA_MAX_N, main
 from tracealg.findim import weighted_semisimple
 from tracealg.jsonio import dump_algebra, dump_group
 from tracealg.pseudochar import cyclic_group, dihedral_group, symmetric_group_3
@@ -17,6 +23,23 @@ from tracealg.pseudochar import cyclic_group, dihedral_group, symmetric_group_3
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def run_cli_process(args, address_space=512 << 20):
+    """Run ``python -m tracealg.cli args`` in its own process with its
+    address space capped; return the result and the wall time."""
+    src = str(Path(tracealg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "tracealg.cli", *args],
+                            capture_output=True, text=True, env=env,
+                            preexec_fn=cap, timeout=60)
+    return result, time.perf_counter() - start
 
 
 class TestChpoly:
@@ -156,6 +179,29 @@ class TestDegreeZeroPowers:
         assert re.search(r"above the bound of (64 tr\(1\) in a term|65536 bits)",
                          result.output), result.output
 
+
+    def test_products_at_the_bound_run(self, runner):
+        result = runner.invoke(main, ["verify", "--poly",
+                                      "(tr(1)+1)^32*(tr(1)+1)^32 - (tr(1)+1)^64",
+                                      "--size", "2"])
+        assert result.exit_code == 0, result.output
+        assert "vanishes on all 2x2 matrices" in result.output
+        result = runner.invoke(main, ["verify", "--poly", "tr(1)^64", "--size", "1"])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("counterexample for tr(1)^64 at size 1:")
+
+    @pytest.mark.parametrize("argv", [["polarize", "--expr"],
+                                      ["verify", "--size", "1", "--poly"]])
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_products_above_the_bound_exit_2_at_once(self, runner, argv, k):
+        # k = 6 took 1.5 s and verify exited 1
+        start = time.perf_counter()
+        result = runner.invoke(main, argv + ["*".join(["(tr(1)+1)^64"] * k)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "product of factors with 64 and 64 tr(1) in a term is above the bound " \
+            "of 64 tr(1) in a term" in result.output
 
 class TestAlgebraCommands:
     def test_kernel(self, runner, tmp_path):
@@ -366,6 +412,24 @@ class TestStrataCommand:
     def test_bad_ell(self, runner):
         result = runner.invoke(main, ["strata", "--n", "2", "--ell", "1"])
         assert result.exit_code == 2
+
+    def test_n_at_the_bound_runs(self):
+        # about 1.2 s and 62 MB (Python 3.11.7, 2 cores); see cli.STRATA_MAX_N
+        result, seconds = run_cli_process(
+            ["strata", "--n", str(STRATA_MAX_N), "--ell", "2", "--poset", "json"])
+        assert result.returncode == 0, result.stderr
+        assert seconds < 10.0
+        data = json.loads(result.stdout)
+        assert data["n"] == STRATA_MAX_N and len(data["nodes"]) == 3186
+
+    def test_n_above_the_bound_exits_2_at_once(self):
+        result, seconds = run_cli_process(
+            ["strata", "--n", str(STRATA_MAX_N + 1), "--ell", "2", "--poset", "json"])
+        assert result.returncode == 2
+        assert seconds < 5.0
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert f"above the bound {STRATA_MAX_N}" in result.stderr
 
 
 class TestOnevar:

@@ -241,7 +241,7 @@ class TestKernelNilpotency:
         for a, _n in self.algebras():
             k = trace_kernel(a)
             for row in k.rows:
-                power = a.element_is_nilpotent(row, max_power=a.dim)
+                power = a.element_is_nilpotent(row)
                 assert power is not None and power <= a.dim
 
     def test_iterated_kernel_power_vanishes(self):

@@ -410,6 +410,21 @@ class TestDegreeZeroPowerBound:
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_trace_poly(text, max_degree=8)
 
+    @pytest.mark.parametrize("text", ["(tr(1)+1)^32*(tr(1)+1)^32", "(tr(1)+1)^63*(tr(1)+x)",
+                                      "(2^32767+x)*(2^32767+1)", "tr(1)^64*tr(1)*tr(1)"])
+    def test_products_at_the_bound_parse_as_the_reference(self, text):
+        assert parse_trace_poly(text) == _ReferenceParser(text).parse()
+
+    @pytest.mark.parametrize("text, message", [
+        ("(tr(1)+1)^64*(tr(1)+1)^64", "product of factors with 64 and 64 tr(1) in a term"),
+        ("(tr(1)+1)^64*(tr(1)+1)", "product of factors with 64 and 1 tr(1) in a term"),
+        ("(tr(1)+1)^64*x*(tr(1)+1)^64", "product of factors with 64 and 64 tr(1) in a term"),
+        ("tr(1)^64*(x+1)*tr(1)", "product of factors with 64 and 1 tr(1) in a term"),
+        ("(2^32768+x)*(2^32768+1)", "product of 32769-bit and 32769-bit coefficients")])
+    def test_products_with_a_sum_above_the_bound_are_refused(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message) + " is above the bound"):
+            parse_trace_poly(text)
+
 
 def test_constructors_store_integer_coefficients():
     for p in (TracePoly.scalar(Fraction(6, 3)), TracePoly.variable(2),

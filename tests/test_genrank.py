@@ -113,7 +113,7 @@ def test_one_product_for_every_coefficient_ring(name, words, p, data):
     the specialized elements; ``int`` and ``Fraction`` coordinates give
     equal products."""
     algebra = PRODUCT_ALGEBRAS[name]
-    engine = _RankEngine(algebra, 2, seed=p, slack=0)
+    engine = _RankEngine(algebra, 2, seed=p)
     point = {generic_element_name(i, j): c
              for i, gen in engine.points[p].items() for j, c in enumerate(gen)}
     for w in map(tuple, words):
