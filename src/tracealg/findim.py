@@ -8,7 +8,7 @@ decidable and membership is a reduction against the pivot rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -136,9 +136,11 @@ class WeightedType:
 class TraceAlgebra:
     """Associative algebra with an F-valued trace.
 
-    The structure constants, unit and trace are exact rationals.  Elements
-    are coordinate vectors; ``multiply`` and ``word_value`` take coordinates
-    in ``Fraction``, ``int`` or ``MPoly`` (generic elements).
+    The structure constants, unit and trace are exact rationals stored
+    through ``sparse.exact``, so integral ones are ``int``.  Elements are
+    coordinate vectors; ``basis_product`` multiplies one by a basis element,
+    and ``multiply`` and ``word_value`` take any coordinates in ``Fraction``,
+    ``int`` or ``MPoly`` (generic elements).
     """
 
     dim: int
@@ -167,6 +169,18 @@ class TraceAlgebra:
                     out[k] += xy * c
         return tuple(out)
 
+    def basis_product(self, x, i, side):
+        """x·u_i when side is "right", u_i·x when it is "left", read off
+        column i or row i of the structure constants:
+        (x u_i)_k = sum_j x_j c(j, i, k) and (u_i x)_k = sum_j x_j c(i, j, k)."""
+        mul = self.mul
+        out = [0] * self.dim
+        for j, xj in enumerate(x):
+            if xj:
+                for k, c in (mul[j][i] if side == "right" else mul[i][j]):
+                    out[k] += xj * c
+        return tuple(out)
+
     def word_value(self, w, letters, cache):
         """The product letters[w[0]] ... letters[w[-1]], memoized on prefixes.
 
@@ -179,14 +193,14 @@ class TraceAlgebra:
             cache[w] = got
         return got
 
-    def trace_of(self, x) -> Fraction:
-        return sum((xi * t for xi, t in zip(x, self.trace_vector) if xi), Fraction(0))
+    def trace_of(self, x):
+        return sum(xi * t for xi, t in zip(x, self.trace_vector) if xi)
 
     def basis_vector(self, i):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+        return tuple(int(j == i) for j in range(self.dim))
 
     @property
-    def trace_of_unit(self) -> Fraction:
+    def trace_of_unit(self):
         return self.trace_of(self.unit)
 
     def gram_matrix(self, vectors):
@@ -194,14 +208,18 @@ class TraceAlgebra:
         return [[self.trace_of(self.multiply(x, y)) for y in vectors] for x in vectors]
 
     def element_is_nilpotent(self, x):
-        """Smallest k <= dim with x^k = 0, or None."""
-        cap = self.dim
+        """Smallest k <= dim with x^k = 0, or None.
+
+        The algebra is unital, so x^k = L^k(1) for L the left multiplication
+        by x, and x^k = 0 exactly when L^k = 0.  A nilpotent operator on a
+        space of dimension dim has L^dim = 0, so no index exceeds dim.
+        """
         power = x
-        for k in range(1, cap + 1):
-            if all(c == 0 for c in power):
+        for k in range(1, self.dim + 1):
+            if not any(power):
                 return k
             power = self.multiply(power, x)
-        return 1 if all(c == 0 for c in x) else (cap + 1 if all(c == 0 for c in power) else None)
+        return None
 
 
 def make_algebra(mul, unit, trace_vector, labels=None, blocks=None,
@@ -221,17 +239,17 @@ def make_algebra(mul, unit, trace_vector, labels=None, blocks=None,
         for j in range(d):
             cell = mul[i][j]
             if cell and isinstance(cell[0], (list, tuple)) and len(cell[0]) == 2:
-                entries = tuple((int(k), Fraction(c)) for k, c in cell if Fraction(c) != 0)
+                entries = ((int(k), exact(c)) for k, c in cell)
             else:
-                entries = tuple((k, Fraction(c)) for k, c in enumerate(cell) if Fraction(c) != 0)
-            row.append(entries)
+                entries = enumerate(map(exact, cell))
+            row.append(tuple((k, c) for k, c in entries if c))
         sparse.append(tuple(row))
     algebra = TraceAlgebra(
         dim=d,
         labels=tuple(labels),
         mul=tuple(sparse),
-        unit=tuple(Fraction(c) for c in unit),
-        trace_vector=tuple(Fraction(c) for c in trace_vector),
+        unit=tuple(map(exact, unit)),
+        trace_vector=tuple(map(exact, trace_vector)),
         blocks=tuple((m, tuple(idxs)) for m, idxs in blocks) if blocks else None,
     )
     if validate:
@@ -241,16 +259,18 @@ def make_algebra(mul, unit, trace_vector, labels=None, blocks=None,
 
 def _validate(a: TraceAlgebra) -> None:
     basis = [a.basis_vector(i) for i in range(a.dim)]
-    table = [[a.multiply(basis[i], basis[j]) for j in range(a.dim)] for i in range(a.dim)]
+    table = [[a.basis_product(basis[i], j, "right") for j in range(a.dim)]
+             for i in range(a.dim)]
     for i in range(a.dim):
-        if a.multiply(a.unit, basis[i]) != basis[i] or a.multiply(basis[i], a.unit) != basis[i]:
+        if (a.basis_product(a.unit, i, "right") != basis[i]
+                or a.basis_product(a.unit, i, "left") != basis[i]):
             raise AlgebraValidationError(
                 f"unit law fails on basis element {a.labels[i]}", witness=(i,))
     for i in range(a.dim):
         for j in range(a.dim):
             for k in range(a.dim):
-                left = a.multiply(table[i][j], basis[k])
-                right = a.multiply(basis[i], table[j][k])
+                left = a.basis_product(table[i][j], k, "right")
+                right = a.basis_product(table[j][k], i, "left")
                 if left != right:
                     raise AlgebraValidationError(
                         "associativity fails on "
@@ -298,12 +318,12 @@ def weighted_semisimple(wt) -> TraceAlgebra:
                         if c == r2:
                             i, j = index[(b, r, c)], index[(b, r2, c2)]
                             mul[i][j] = [(index[(b, r, c2)], 1)]
-    unit = [Fraction(0)] * d
-    trace = [Fraction(0)] * d
+    unit = [0] * d
+    trace = [0] * d
     for b, (m, a) in enumerate(wt.pairs()):
         for r in range(m):
-            unit[index[(b, r, r)]] = Fraction(1)
-            trace[index[(b, r, r)]] = Fraction(a)
+            unit[index[(b, r, r)]] = 1
+            trace[index[(b, r, r)]] = a
     return make_algebra(mul, unit, trace, labels=labels, blocks=blocks, validate=False)
 
 
@@ -314,8 +334,9 @@ def trace_kernel(a: TraceAlgebra) -> Subspace:
 
     The result is checked to be a two-sided ideal closed under trace.
     """
-    basis = [a.basis_vector(i) for i in range(a.dim)]
-    kernel = Subspace.from_vectors(a.dim, linalg.nullspace(a.gram_matrix(basis)))
+    gram = [[a.trace_of(a.basis_product(a.basis_vector(i), j, "right")) for j in range(a.dim)]
+            for i in range(a.dim)]
+    kernel = Subspace.from_vectors(a.dim, linalg.nullspace(gram))
     if any(a.trace_of(row) != 0 for row in kernel.rows):
         raise AssertionError("trace kernel is not trace-stable")
     if check_ideal(a, kernel) is not None:
@@ -324,22 +345,12 @@ def trace_kernel(a: TraceAlgebra) -> Subspace:
 
 
 def check_ideal(a: TraceAlgebra, space: Subspace):
-    """Witness (vector, basis index, side) if space is not a two-sided ideal.
-
-    A product with the basis vector u_i reads the structure constants
-    directly: (row u_i)_k = sum_j row_j c(j, i, k) from column i, and
-    (u_i row)_k = sum_j row_j c(i, j, k) from row i.
-    """
-    mul = a.mul
+    """Witness (vector, basis index, side) if space is not a two-sided ideal:
+    side "right" means row·u_i leaves the space, "left" u_i·row."""
     for row in space.rows:
-        support = [(j, x) for j, x in enumerate(row) if x]
         for i in range(a.dim):
             for side in ("right", "left"):
-                product = [0] * a.dim
-                for j, x in support:
-                    for k, c in (mul[j][i] if side == "right" else mul[i][j]):
-                        product[k] += x * c
-                if not space.contains(product):
+                if not space.contains(a.basis_product(row, i, side)):
                     return (row, i, side)
     return None
 
@@ -388,8 +399,8 @@ def quotient_algebra(a: TraceAlgebra, ideal: Subspace):
         v = ideal.reduce(vec)
         return tuple(v[j] for j in free)
 
-    basis = [a.basis_vector(j) for j in free]
-    mul = [[list(project(a.multiply(x, y))) for y in basis] for x in basis]
+    mul = [[list(project(a.basis_product(a.basis_vector(i), j, "right"))) for j in free]
+           for i in free]
     trace = [a.trace_vector[j] for j in free]
     quotient = make_algebra(mul, project(a.unit), trace,
                             labels=tuple(a.labels[j] for j in free), validate=False)
@@ -413,18 +424,17 @@ def ch_identity_failure(a: TraceAlgebra, n: int):
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    basis = [a.basis_vector(i) for i in range(a.dim)]
     layer = {(): a.unit}
     for k in range(1, n + 1):
         previous, layer = layer, {}
         for s in combinations_with_replacement(range(a.dim), k):
-            t = a.trace_of(a.multiply(previous[s[:-1]], basis[s[-1]]))
+            t = a.trace_of(a.basis_product(previous[s[:-1]], s[-1], "right"))
             value = [t * c for c in a.unit]
             for pos, i in enumerate(s):
                 if pos and s[pos - 1] == i:
                     continue
                 m = s.count(i)
-                for q, c in enumerate(a.multiply(basis[i], previous[s[:pos] + s[pos + 1:]])):
+                for q, c in enumerate(a.basis_product(previous[s[:pos] + s[pos + 1:]], i, "left")):
                     if c:
                         value[q] -= m * c
             if k < n:
@@ -476,7 +486,7 @@ def recover_weights(a: TraceAlgebra, blocks=None) -> WeightedType:
             raise ValueError(f"block of size {m} must have {m * m} basis indices")
         block_unit = _block_identity(a, m, idxs)
         t = a.trace_of(block_unit)
-        weight = t / m
+        weight = Fraction(t, m)
         if weight.denominator != 1 or weight <= 0:
             raise AlgebraValidationError(
                 f"trace is not n-CH for any n: block weight {weight} "
@@ -497,19 +507,14 @@ def _block_identity(a: TraceAlgebra, m: int, idxs):
     for j in idxs:
         bj = a.basis_vector(j)
         # e * u_j = u_j and u_j * e = u_j, with e supported on idxs
-        for left in (True, False):
-            for k in range(a.dim):
-                row = []
-                for i in idxs:
-                    bi = a.basis_vector(i)
-                    prod = a.multiply(bi, bj) if left else a.multiply(bj, bi)
-                    row.append(prod[k])
-                rows.append(row)
-                rhs.append(bj[k])
+        for side in ("left", "right"):
+            products = [a.basis_product(bj, i, side) for i in idxs]
+            rows.extend([p[k] for p in products] for k in range(a.dim))
+            rhs.extend(bj)
     sol = linalg.solve(rows, rhs)
     if sol is None:
         raise AlgebraValidationError("block has no unit: not a matrix block")
-    e = [Fraction(0)] * a.dim
+    e = [0] * a.dim
     for val, i in zip(sol, idxs):
         e[i] = val
     return tuple(e)
@@ -519,11 +524,7 @@ def rescale_trace(a: TraceAlgebra, factor: int) -> TraceAlgebra:
     """Same algebra with trace multiplied by a positive integer."""
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
-    return TraceAlgebra(
-        dim=a.dim, labels=a.labels, mul=a.mul, unit=a.unit,
-        trace_vector=tuple(factor * t for t in a.trace_vector),
-        blocks=a.blocks,
-    )
+    return replace(a, trace_vector=tuple(factor * t for t in a.trace_vector))
 
 
 # -- trace-ideal arithmetic ------------------------------------------------------

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sparse import SparsePoly, exact
+from .sparse import SparsePoly, exact, render_sum
 
 Word = tuple  # tuple[int, ...] of positive variable indices
 
@@ -178,21 +178,8 @@ class TracePoly(SparsePoly):
         return sorted(self.terms.items(), key=key)
 
     def render(self, var_names=None) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (w, traces), c in self.sorted_terms():
-            body = _monomial_str(w, traces, var_names)
-            if body:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                text = mag + body
-            else:
-                text = str(abs(c))
-            if not chunks:
-                chunks.append(text if c > 0 else "-" + text)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + text)
-        return " ".join(chunks)
+        return render_sum((_monomial_str(w, traces, var_names), c)
+                          for (w, traces), c in self.sorted_terms())
 
     def __str__(self):
         return self.render()

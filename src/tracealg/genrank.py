@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 from . import linalg
@@ -80,16 +79,16 @@ class _RankEngine:
         self.symbolic_words = {(): tuple(MPoly.const(c) for c in algebra.unit)}
         self.symbolic_traces = {}
         self.trace_piece_cache = {}
-        self.points = []            # per point: letter -> generic element as Fraction vector
-        self.point_words = []       # per point: word -> Fraction vector
-        self.point_traces = []      # per point: multiset -> Fraction
+        self.points = []            # per point: letter -> generic element as int vector
+        self.point_words = []       # per point: word -> exact vector
+        self.point_traces = []      # per point: multiset -> exact rational
         for _ in range(4):
             self._add_point()
 
     # -- specialization points -------------------------------------------------
     def _add_point(self):
         d = self.a.dim
-        self.points.append({i: tuple(Fraction(self.rng.randint(-9, 9)) for _ in range(d))
+        self.points.append({i: tuple(self.rng.randint(-9, 9) for _ in range(d))
                             for i in range(1, self.ell + 1)})
         self.point_words.append({(): self.a.unit})
         self.point_traces.append({})
@@ -97,14 +96,14 @@ class _RankEngine:
     def word_at(self, w, p: int):
         return self.a.word_value(w, self.points[p], self.point_words[p])
 
-    def trace_at(self, cyc, p: int) -> Fraction:
+    def trace_at(self, cyc, p: int):
         return self.a.trace_of(self.word_at(cyc, p))
 
-    def multiset_at(self, multiset, p: int) -> Fraction:
+    def multiset_at(self, multiset, p: int):
         cache = self.point_traces[p]
         got = cache.get(multiset)
         if got is None:
-            got = Fraction(1)
+            got = 1
             for w in multiset:
                 got *= self.trace_at(w, p)
             cache[multiset] = got

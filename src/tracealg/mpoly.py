@@ -21,7 +21,7 @@ import threading
 from fractions import Fraction
 from math import gcd, lcm
 
-from .sparse import SparsePoly, exact
+from .sparse import SparsePoly, exact, render_sum
 
 FIELD_BITS = 16
 EXPONENT_BOUND = 1 << (FIELD_BITS - 1)
@@ -176,24 +176,9 @@ class MPoly(SparsePoly):
         return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         terms = sorted(((_decode(k), c) for k, c in self.terms.items()),
                        key=lambda t: (sum(e for _, e in t[0]), t[0]))
-        chunks = []
-        for m, c in terms:
-            mono = self._mono_str(m)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        return render_sum((self._mono_str(m), c) for m, c in terms)
 
     def __repr__(self):
         return f"MPoly({self})"

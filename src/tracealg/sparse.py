@@ -24,6 +24,21 @@ def exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def render_sum(terms) -> str:
+    """The sum of (monomial text, coefficient) pairs, in the given order, as
+    ``c*m + m - c``: a coefficient of magnitude 1 is dropped before a
+    monomial, and the empty monomial prints its coefficient; no terms is 0."""
+    chunks = []
+    for mono, c in terms:
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if not chunks:
+            chunks.append(body if c > 0 else "-" + body)
+        else:
+            chunks.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(chunks) or "0"
+
+
 def _add_scaled(out: dict, terms: dict, scale=1) -> None:
     """out += scale * terms, dropping keys whose coefficient cancels."""
     get = out.get

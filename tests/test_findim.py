@@ -283,6 +283,14 @@ class TestKernelNilpotency:
         assert k.rows == ((Fraction(0), Fraction(1), Fraction(0)),)
         assert a.element_is_nilpotent(k.rows[0]) == 2
 
+    def test_nilpotency_index_in_m3(self):
+        # e12 + e23 squares to e13 and cubes to 0; e11 is idempotent
+        a = weighted_semisimple([(3, 1)])
+        x = [0] * 9
+        x[1] = x[5] = 1
+        assert a.element_is_nilpotent(x) == 3
+        assert a.element_is_nilpotent(a.basis_vector(0)) is None
+
 
 # -- the recursion against the evaluated permutation sum ------------------------
 
@@ -374,6 +382,27 @@ class TestCheckIdeal:
         assert check_ideal(a, first_row) == (first_row.rows[0], 2, "left")
         upper = upper_triangular(1, 1)
         assert check_ideal(upper, trace_kernel(upper)) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(oracle_algebras, st.data())
+def test_basis_product_matches_the_one_hot_product(a, data):
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=a.dim, max_size=a.dim))
+    for i in range(a.dim):
+        b = a.basis_vector(i)
+        assert a.basis_product(x, i, "right") == a.multiply(x, b)
+        assert a.basis_product(x, i, "left") == a.multiply(b, x)
+
+
+@pytest.mark.parametrize("a", [dual_numbers(), weighted_semisimple([(1, 1), (2, 2)]),
+                               upper_triangular(1, 1), m2_structure([1, 0, 0, 1])])
+def test_integral_coordinates_give_int_results(a):
+    x = tuple(range(1, a.dim + 1))
+    y = tuple(range(a.dim, 0, -1))
+    values = [*a.multiply(x, y), a.trace_of(x), a.trace_of_unit]
+    for i in range(a.dim):
+        values.extend(a.basis_product(x, i, "right") + a.basis_product(x, i, "left"))
+    assert all(type(v) is int for v in values)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

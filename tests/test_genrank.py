@@ -81,6 +81,14 @@ class TestReportShape:
         assert r1.rank == r2.rank
 
 
+def test_integral_algebra_specializes_in_int():
+    engine = _RankEngine(weighted_semisimple([(1, 1), (2, 1)]), 2, seed=3)
+    for p in range(len(engine.points)):
+        values = [c for w in [(1,), (1, 2), (2, 2, 1)] for c in engine.word_at(w, p)]
+        values.append(engine.multiset_at(((1,), (1, 2)), p))
+        assert all(type(v) is int for v in values)
+
+
 # -- one structure-constant product for every coefficient ring ----------------
 
 def _s3_quotient():

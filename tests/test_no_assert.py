@@ -3,7 +3,8 @@
 Library checks must survive ``python -O``, which strips ``assert``, no
 module imports a name it never uses, every function is referenced
 somewhere, ``findim`` imports no free-algebra module, ``cyclotomic`` only
-``sparse`` and ``linalg`` no ``tracealg`` module at all.
+``sparse`` and ``linalg`` no ``tracealg`` module at all, and only the
+algebra's own methods and its JSON dump read its structure constants.
 """
 import ast
 from pathlib import Path
@@ -115,6 +116,21 @@ def test_linalg_is_the_bottom_layer():
     ``tracealg`` module, relative or absolute."""
     found = sorted(_imported_modules("linalg") & ({p.stem for p in SOURCES} | {"tracealg"}))
     assert not found, f"linalg.py imports {found}"
+
+
+def test_only_the_algebra_reads_its_structure_constants():
+    """``.mul`` is read by ``TraceAlgebra``'s methods and ``jsonio.dump_algebra``
+    alone, so every product is decided in one place: ``basis_product`` for a
+    product with a basis element, ``multiply`` for any other."""
+    allowed = {("findim.py", "TraceAlgebra"), ("jsonio.py", "dump_algebra")}
+    readers = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if (path.name, getattr(top, "name", None)) in allowed:
+                continue
+            readers.extend(f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                           if isinstance(node, ast.Attribute) and node.attr == "mul")
+    assert not readers, f".mul read outside TraceAlgebra and dump_algebra: {readers}"
 
 
 def test_cyclotomic_is_an_exact_scalar():
