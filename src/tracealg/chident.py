@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .freetrace import TracePoly
+from .freetrace import TracePoly, sort_traces
 from .mpoly import MPoly
 
 
@@ -69,6 +69,42 @@ def ch_poly(n: int) -> TracePoly:
     return TracePoly(terms)
 
 
+def permutation_cycles(k: int):
+    """Every permutation of {1..k} as ``(sign, cycles)``.
+
+    The walk inserts m = 1..k into each permutation of {1..m-1}, either as
+    the new cycle (m,) or right after one of its elements; every
+    permutation of {1..m} arises once.  So each cycle is led by its least
+    element, which makes it its own least rotation, and the cycles come in
+    the order of their leaders.  The sign is (-1)^(k - number of cycles).
+
+    The permutations of {1..m} come in m blocks: m fixed, then m after 1,
+    after 2, .., after m-1, each block in the order of {1..m-1}.  Summed
+    with signs, a block of T_m gives tr(x_m) T_{m-1} or
+    -T_{m-1}(.., x_e x_m, ..), which vanish wherever T_{m-1} does, so a
+    running sum of T_m taken in this order returns to zero after each block
+    on matrices of size below m - 1.
+    """
+    level = [()]
+    for m in range(1, k + 1):
+        rows = [_insert(cycles, m) for cycles in level]
+        level = [row[e] for e in range(m) for row in rows]
+    for cycles in level:
+        yield (-1 if (k - len(cycles)) & 1 else 1), cycles
+
+
+def _insert(cycles, m: int) -> list:
+    """``cycles`` with m added as a new cycle (entry 0) and right after each
+    element e (entry e)."""
+    row = [None] * m
+    row[0] = cycles + ((m,),)
+    for i, cyc in enumerate(cycles):
+        head, tail = cycles[:i], cycles[i + 1:]
+        for pos, e in enumerate(cyc, 1):
+            row[e] = head + (cyc[:pos] + (m,) + cyc[pos:],) + tail
+    return row
+
+
 @dataclass(frozen=True)
 class PermCycles:
     """A permutation of {1..size} stored as disjoint cycles covering {1..size}."""
@@ -85,63 +121,54 @@ class PermCycles:
     def sign(self) -> int:
         return (-1) ** (self.size - len(self.cycles))
 
-    @classmethod
-    def from_one_line(cls, images) -> "PermCycles":
-        """From one-line notation: images[i] is the image of i+1."""
-        n = len(images)
-        remaining = set(range(1, n + 1))
-        cycles = []
-        while remaining:
-            start = min(remaining)
-            cyc = [start]
-            remaining.discard(start)
-            nxt = images[start - 1]
-            while nxt != start:
-                cyc.append(nxt)
-                remaining.discard(nxt)
-                nxt = images[nxt - 1]
-            cycles.append(tuple(cyc))
-        return cls(n, tuple(cycles))
-
 
 def t_sigma(perm: PermCycles) -> TracePoly:
     """T_sigma: one trace symbol per cycle of the permutation."""
     return TracePoly.monomial((), perm.cycles)
 
 
+# The walk lists the cycles of a permutation in the order of their least
+# elements, which are distinct, so among cycles of one length that is the
+# lexicographic order: sorting by length alone gives the canonical order of
+# trace symbols, (length, word).
+
 @lru_cache(maxsize=None)
 def t_multilinear(k: int) -> TracePoly:
-    """T_k(x_1..x_k) = sum over S_k of sign(sigma) T_sigma."""
+    """T_k(x_1..x_k) = sum over S_k of sign(sigma) T_sigma.
+
+    Distinct permutations have distinct cycle sets, so every key is
+    written once.
+    """
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    perms = (PermCycles.from_one_line(images) for images in permutations(range(1, k + 1)))
-    return TracePoly.sum((perm.sign, t_sigma(perm)) for perm in perms)
-
-
-def _psi_sigma_term(perm: PermCycles, n: int) -> TracePoly:
-    """The word-times-traces monomial of one permutation of S_{n+1}.
-
-    The cycle containing n+1 is rotated so that n+1 comes last and then
-    dropped; it contributes the word factor, the other cycles trace symbols.
-    """
-    word = ()
-    traces = []
-    for cyc in perm.cycles:
-        if n + 1 in cyc:
-            pos = cyc.index(n + 1)
-            word = cyc[pos + 1:] + cyc[:pos]
-        else:
-            traces.append(cyc)
-    return TracePoly.monomial(word, traces)
+    return TracePoly._wrap({((), tuple(sorted(cycles, key=len))): sign
+                            for sign, cycles in permutation_cycles(k)})
 
 
 @lru_cache(maxsize=None)
 def ch_multilinear(n: int) -> TracePoly:
-    """The multilinear Cayley-Hamilton polynomial CH(x_1..x_n)."""
+    """The multilinear Cayley-Hamilton polynomial CH(x_1..x_n).
+
+    (-1)^n times the sum over S_{n+1} of the sign times one monomial per
+    permutation: the cycle through n+1, rotated so that n+1 comes last and
+    then dropped, is the word; every other cycle is a trace symbol.  Each
+    permutation of S_{n+1} is one of S_n with n+1 fixed (the empty word,
+    same sign) or put after one element of a cycle (that cycle, rotated,
+    is the word, and the sign flips).  The word determines the cycle
+    through n+1, so every key is written once.
+    """
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    perms = (PermCycles.from_one_line(images) for images in permutations(range(1, n + 2)))
-    return TracePoly.sum(((-1) ** n * perm.sign, _psi_sigma_term(perm, n)) for perm in perms)
+    flip = -1 if n & 1 else 1
+    terms = {}
+    for sign, cycles in permutation_cycles(n):
+        sign *= flip
+        terms[((), tuple(sorted(cycles, key=len)))] = sign
+        for i, cyc in enumerate(cycles):
+            traces = tuple(sorted(cycles[:i] + cycles[i + 1:], key=len))
+            for pos in range(len(cyc)):
+                terms[(cyc[pos:] + cyc[:pos], traces)] = -sign
+    return TracePoly._wrap(terms)
 
 
 def polarize(p: TracePoly) -> TracePoly:
@@ -149,8 +176,8 @@ def polarize(p: TracePoly) -> TracePoly:
 
     The multilinear component of p(x_1 + ... + x_k), k the homogeneous
     degree: each term contributes one monomial per bijection between its k
-    letter occurrences and x_1..x_k.  Restitution then recovers k! times the
-    input.
+    letter occurrences and x_1..x_k, in reading order.  Restitution then
+    recovers k! times the input.
     """
     if p.variables() - {1}:
         raise ValueError("polarize expects a polynomial in a single variable")
@@ -160,21 +187,29 @@ def polarize(p: TracePoly) -> TracePoly:
     k = degrees.pop()
     if k == 0:
         raise ValueError("cannot polarize a constant")
-    return TracePoly.sum((c, monomial)
-                         for (w, traces), c in p.terms.items()
-                         for monomial in _relabelings(w, traces, k))
-
-
-def _relabelings(w, traces, k: int):
-    """The term w * prod tr(t) with its k letter occurrences relabeled by
-    each permutation of x_1..x_k, in reading order."""
-    for images in permutations(range(1, k + 1)):
+    # A term of p is fixed by its word length and trace lengths, which every
+    # relabeling keeps, so each key gets its coefficient from one term only
+    # and no sum cancels.  The relabeled letters are distinct, so a trace's
+    # least rotation starts at its least letter.
+    terms = {}
+    get = terms.get
+    for (w, traces), c in p.terms.items():
+        spans = []
         pos = len(w)
-        trace_words = []
         for t in traces:
-            trace_words.append(images[pos:pos + len(t)])
+            spans.append((pos, pos + len(t)))
             pos += len(t)
-        yield TracePoly.monomial(images[:len(w)], trace_words)
+        for images in permutations(range(1, k + 1)):
+            trace_words = []
+            for start, end in spans:
+                t = images[start:end]
+                if end - start > 1:
+                    low = t.index(min(t))
+                    t = t[low:] + t[:low]
+                trace_words.append(t)
+            key = (images[:len(w)], sort_traces(trace_words))
+            terms[key] = get(key, 0) + c
+    return TracePoly._wrap(terms)
 
 
 def restitute(p: TracePoly) -> TracePoly:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
+from math import comb
 
 from . import linalg
 from .sparse import exact
@@ -442,6 +443,19 @@ def ch_identity_failure(a: TraceAlgebra, n: int):
             elif any(value):
                 return s
     return None
+
+
+def ch_degree_multisets(a: TraceAlgebra, n_max: int) -> int:
+    """The most basis multisets ``ch_degree(a, n_max)`` builds.
+
+    It tests only n = t(1), when that is an integer in 1..n_max, and
+    ``ch_identity_failure`` builds the multisets of every size 1..n over the
+    d basis elements: C(d + n, n) - 1 of them.
+    """
+    n = a.trace_of_unit
+    if n != int(n) or not 1 <= n <= n_max:
+        return 0
+    return comb(a.dim + int(n), int(n)) - 1
 
 
 def ch_degree(a: TraceAlgebra, n_max: int, diagnostics=None):

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sparse import SparsePoly, exact, render_sum
+from .sparse import SparsePoly, add_terms, exact, render_sum
 
 Word = tuple  # tuple[int, ...] of positive variable indices
 
@@ -70,7 +70,9 @@ def _trace_key(w: Word):
     return (len(w), w)
 
 
-def _sort_traces(traces) -> tuple:
+def sort_traces(traces) -> tuple:
+    """Trace words in the canonical order of a monomial key: shorter first,
+    then lexicographic."""
     return tuple(sorted(traces, key=_trace_key))
 
 
@@ -81,7 +83,7 @@ def _check_index(i: int) -> None:
 
 def _key_mul(k1, k2):
     (w1, t1), (w2, t2) = k1, k2
-    return (w1 + w2, _sort_traces(t1 + t2))
+    return (w1 + w2, sort_traces(t1 + t2))
 
 
 class TracePoly(SparsePoly):
@@ -110,7 +112,7 @@ class TracePoly(SparsePoly):
     def monomial(cls, letters, trace_words=()) -> "TracePoly":
         """The word ``letters`` times tr(w) for each w in ``trace_words``,
         each trace word cyclically normalized."""
-        traces = _sort_traces(least_rotation(tuple(t)) for t in trace_words)
+        traces = sort_traces(least_rotation(tuple(t)) for t in trace_words)
         return cls({(tuple(letters), traces): 1})
 
     @classmethod
@@ -125,8 +127,10 @@ class TracePoly(SparsePoly):
     # -- trace and substitution -------------------------------------------
     def trace(self) -> "TracePoly":
         """Formal trace: linear, kills the word part into a new trace symbol."""
-        return TracePoly.sum(TracePoly({((), _sort_traces(traces + (least_rotation(w),))): c})
-                             for (w, traces), c in self.terms.items())
+        out = {}
+        add_terms(out, ((((), sort_traces(traces + (least_rotation(w),))), c)
+                        for (w, traces), c in self.terms.items()))
+        return TracePoly._wrap(out)
 
     def variables(self) -> set:
         out = set()
@@ -173,13 +177,42 @@ class TracePoly(SparsePoly):
     def sorted_terms(self):
         """Terms in canonical display order: longer words first, then traces."""
         def key(item):
+            # (-len(w), w, (_trace_key(t) for t in traces)) flattened into
+            # one list of ints, which orders the same and compares faster:
+            # equal lengths come before the letters they count
             (w, traces), _ = item
-            return (-len(w), w, tuple(_trace_key(t) for t in traces))
+            flat = [-len(w), *w]
+            for t in traces:
+                flat.append(len(t))
+                flat += t
+            return flat
         return sorted(self.terms.items(), key=key)
 
     def render(self, var_names=None) -> str:
-        return render_sum((_monomial_str(w, traces, var_names), c)
-                          for (w, traces), c in self.sorted_terms())
+        """The text that ``parse_trace_poly`` reads back; ``var_names`` maps
+        variable indices to names, x<i> otherwise.  Each distinct word and
+        each distinct tuple of traces is written once per call."""
+        words = {}
+        trace_parts = {}
+
+        def word_text(w):
+            text = words.get(w)
+            if text is None:
+                text = words[w] = _word_str(w, var_names)
+            return text
+
+        def trace_text(t):
+            return "tr(" + (word_text(t) if t else "1") + ")"
+
+        pairs = []
+        for (w, traces), c in self.sorted_terms():
+            text = trace_parts.get(traces)
+            if text is None:
+                text = trace_parts[traces] = _power_product(traces, trace_text)
+            if w:
+                text = text + "*" + word_text(w) if text else word_text(w)
+            pairs.append((text, c))
+        return render_sum(pairs)
 
     def __str__(self):
         return self.render()
@@ -188,34 +221,24 @@ class TracePoly(SparsePoly):
         return f"TracePoly({self.render()})"
 
 
+def _power_product(factors, text) -> str:
+    """``factors`` written as a product, each run of equal neighbours f as
+    ``text(f)^k``: ``a*b^2`` for (a, b, b)."""
+    parts = []
+    run = 1
+    last = len(factors) - 1
+    for i, f in enumerate(factors):
+        if i < last and factors[i + 1] == f:
+            run += 1
+            continue
+        parts.append(text(f) if run == 1 else f"{text(f)}^{run}")
+        run = 1
+    return "*".join(parts)
+
+
 def _word_str(w: Word, var_names=None) -> str:
     names = var_names or {}
-    parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        name = names.get(w[i], f"x{w[i]}")
-        parts.append(name if j - i == 1 else f"{name}^{j - i}")
-        i = j
-    return "*".join(parts)
-
-
-def _monomial_str(w: Word, traces, var_names=None) -> str:
-    parts = []
-    i = 0
-    while i < len(traces):
-        j = i
-        while j < len(traces) and traces[j] == traces[i]:
-            j += 1
-        inner = "1" if not traces[i] else _word_str(traces[i], var_names)
-        sym = f"tr({inner})"
-        parts.append(sym if j - i == 1 else f"{sym}^{j - i}")
-        i = j
-    if w:
-        parts.append(_word_str(w, var_names))
-    return "*".join(parts)
+    return _power_product(w, lambda i: names[i] if i in names else f"x{i}")
 
 
 # -- module-level operation aliases ------------------------------------------
@@ -234,16 +257,19 @@ def x(i: int) -> TracePoly:
 
 # -- parser -------------------------------------------------------------------
 
-# the last group catches any other character, which cannot start a token
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d*)|(tr)|([()+\-*^/])|(\S))")
-_UNTOKENIZABLE = 5
+# One token per match.  tr(<letters joined by *>) with no blanks inside is
+# one token, group _TRACE_WORD; any other tr( is read a token at a time.  The
+# last group catches any other character, which cannot start a token.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d*)|tr\((x\d*(?:\*x\d*)*)\)|(tr)|([()+\-*^/])|(\S))")
+_TRACE_WORD = 3
+_UNTOKENIZABLE = 6
 
 
 def _as_poly(v) -> TracePoly:
     """A parsed value as a TracePoly (see _Parser for the two kinds)."""
     if type(v) is tuple:
         c, word, traces = v
-        return TracePoly({(word, _sort_traces(traces)): c})
+        return TracePoly({(word, sort_traces(traces)): c})
     return v
 
 
@@ -297,6 +323,11 @@ def _check_size(factors, e: int = 1) -> None:
         raise ValueError(f"{what} is above the bound of {DEGREE0_MAX_BITS} bits")
 
 
+def _shown(tok) -> str:
+    """A token as error messages name it: a trace word token is 'tr'."""
+    return tok[0] if type(tok) is tuple else tok
+
+
 class _Parser:
     """Recursive descent for the rendering grammar.
 
@@ -313,31 +344,42 @@ class _Parser:
     taken in the written order since words do not commute.  ``expr`` adds
     its terms into one dict.  With ``max_degree`` set, a product or power of
     higher degree raises before it is built.
+
+    Tokens are read one at a time from ``_TOKEN.finditer``; ``tok`` is the
+    next one (None at the end).  A trace word token is the pair ('tr',
+    letters), and a letter after '*' with no '^' after it is appended to the
+    monomial in ``term``.  Both meet the same checks, in the same order, as
+    the atoms they stand for.  Each distinct letter and trace word is
+    converted once per parse.  An untokenizable character anywhere in the
+    text is reported before any other error, as if the text had been
+    tokenized first.
     """
 
     def __init__(self, text: str, max_degree=None):
-        tokens = []
-        append = tokens.append
-        for m in _TOKEN.finditer(text):
+        self.text = text
+        self.matches = _TOKEN.finditer(text)
+        self.max_degree = max_degree
+        self.indices = {}       # letter token -> variable index
+        self.trace_words = {}   # letters of a trace word token -> least rotation
+        self.advance()
+
+    def advance(self) -> None:
+        for m in self.matches:
             group = m.lastindex
             if group == _UNTOKENIZABLE:
-                raise ValueError(f"cannot tokenize input at: {text[m.start():]!r}")
-            append(m[group])
-        append(None)  # end of input
-        self.tokens = tokens
-        self.i = 0
-        self.max_degree = max_degree
-
-    def peek(self):
-        return self.tokens[self.i]
+                self.matches = iter(())
+                raise ValueError(f"cannot tokenize input at: {self.text[m.start():]!r}")
+            self.tok = m[group] if group != _TRACE_WORD else ("tr", m[group])
+            return
+        self.tok = None
 
     def take(self, expected=None):
-        tok = self.tokens[self.i]
+        tok = self.tok
         if tok is None:
             raise ValueError("unexpected end of input")
         if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.i += 1
+            raise ValueError(f"expected {expected!r}, got {_shown(tok)!r}")
+        self.advance()
         return tok
 
     def check_degree(self, degree: int) -> None:
@@ -345,20 +387,27 @@ class _Parser:
             raise ValueError(f"degree {degree} is above the bound {self.max_degree}")
 
     def parse(self) -> TracePoly:
-        v = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at token {self.peek()!r}")
+        try:
+            v = self.expr()
+            if self.tok is not None:
+                raise ValueError(f"trailing input at token {_shown(self.tok)!r}")
+        except ValueError:
+            for m in self.matches:
+                if m.lastindex == _UNTOKENIZABLE:
+                    raise ValueError(
+                        f"cannot tokenize input at: {self.text[m.start():]!r}") from None
+            raise
         return _as_poly(v)
 
     def expr(self):
         sign = 1
-        if self.peek() == "-":
-            self.i += 1
+        if self.tok == "-":
+            self.advance()
             sign = -1
-        elif self.peek() == "+":
-            self.i += 1
+        elif self.tok == "+":
+            self.advance()
         v = self.term()
-        if self.peek() not in ("+", "-"):
+        if self.tok != "+" and self.tok != "-":
             if sign == 1:
                 return v
             return (-v[0], v[1], v[2]) if type(v) is tuple else -v
@@ -368,7 +417,7 @@ class _Parser:
             if type(v) is tuple:
                 c, word, traces = v
                 if len(traces) > 1:
-                    traces = _sort_traces(traces)
+                    traces = sort_traces(traces)
                 terms = (((word, traces), c),)
             else:
                 terms = v.terms.items()
@@ -382,18 +431,30 @@ class _Parser:
                     out[key] = c
                 elif old is not None:
                     del out[key]
-            op = self.peek()
+            op = self.tok
             if op != "+" and op != "-":
                 return TracePoly._wrap(out)
-            self.i += 1
+            self.advance()
             sign = 1 if op == "+" else -1
             v = self.term()
 
     def term(self):
         v = self.power()
-        while self.peek() == "*":
-            self.i += 1
-            f = self.power()
+        while self.tok == "*":
+            self.advance()
+            tok = self.tok
+            if type(tok) is str and tok[0] == "x":
+                self.advance()
+                f = (1, (self.letter(tok),), ())
+                if self.tok == "^":
+                    f = self.powers(f)
+                elif type(v) is tuple:
+                    if self.max_degree is not None:
+                        self.check_degree(_degree(v) + 1)
+                    v = (v[0], v[1] + f[1], v[2])
+                    continue
+            else:
+                f = self.power()
             if self.max_degree is not None:
                 self.check_degree(_degree(v) + _degree(f))
             if type(v) is tuple and type(f) is tuple:
@@ -404,12 +465,15 @@ class _Parser:
         return v
 
     def power(self):
-        v = self.atom()
-        while self.peek() == "^":
-            self.i += 1
+        return self.powers(self.atom())
+
+    def powers(self, v):
+        """``v`` raised by each '^' INT that follows."""
+        while self.tok == "^":
+            self.advance()
             e = self.take()
-            if not e.isdigit():
-                raise ValueError(f"expected integer exponent, got {e!r}")
+            if type(e) is tuple or not e.isdigit():
+                raise ValueError(f"expected integer exponent, got {_shown(e)!r}")
             e = int(e)
             degree = _degree(v)
             if self.max_degree is not None:
@@ -421,20 +485,20 @@ class _Parser:
 
     def atom(self):
         tok = self.take()
+        if type(tok) is tuple:
+            return (1, (), (self.trace_word(tok[1]),))
         if tok.isdigit():
-            if self.peek() == "/":
-                self.i += 1
+            if self.tok == "/":
+                self.advance()
                 den = self.take()
-                if not den.isdigit():
-                    raise ValueError(f"expected denominator, got {den!r}")
+                if type(den) is tuple or not den.isdigit():
+                    raise ValueError(f"expected denominator, got {_shown(den)!r}")
                 if int(den) == 0:
                     raise ValueError(f"zero denominator in {tok}/{den}")
                 return (exact(Fraction(int(tok), int(den))), (), ())
             return (int(tok), (), ())
         if tok[0] == "x":
-            idx = int(tok[1:]) if len(tok) > 1 else 1
-            _check_index(idx)
-            return (1, (idx,), ())
+            return (1, (self.letter(tok),), ())
         if tok == "tr":
             self.take("(")
             inner = self.expr()
@@ -448,6 +512,29 @@ class _Parser:
             self.take(")")
             return inner
         raise ValueError(f"unexpected token {tok!r}")
+
+    def letter(self, tok: str) -> int:
+        """The variable index of a letter token: x is x1."""
+        idx = self.indices.get(tok)
+        if idx is None:
+            idx = int(tok[1:]) if len(tok) > 1 else 1
+            _check_index(idx)
+            self.indices[tok] = idx
+        return idx
+
+    def trace_word(self, letters: str) -> Word:
+        """The least rotation of the word ``letters`` of a trace word token,
+        after the index and degree checks its letters meet when read one by
+        one as 'tr' '(' expr ')'."""
+        rotation = self.trace_words.get(letters)
+        if rotation is None:
+            word = []
+            for letter in letters.split("*"):
+                word.append(self.letter(letter))
+                if len(word) > 1 and self.max_degree is not None:
+                    self.check_degree(len(word))
+            rotation = self.trace_words[letters] = least_rotation(tuple(word))
+        return rotation
 
 
 def parse_trace_poly(text: str, max_degree=None) -> TracePoly:

@@ -27,9 +27,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
-from .chident import PermCycles
+from .chident import permutation_cycles
 from .findim import (TraceAlgebra, ch_degree, make_algebra, quotient_algebra,
                      trace_kernel)
 from .sparse import exact
@@ -193,12 +193,8 @@ class PseudoCheckReport:
 @lru_cache(maxsize=None)
 def _perm_cycle_data(k: int):
     """Signs and cycle index-tuples for all permutations of {1..k}."""
-    data = []
-    for images in permutations(range(1, k + 1)):
-        perm = PermCycles.from_one_line(images)
-        cycles = tuple(tuple(i - 1 for i in cyc) for cyc in perm.cycles)
-        data.append((perm.sign, cycles))
-    return tuple(data)
+    return tuple((sign, tuple(tuple(i - 1 for i in cyc) for cyc in cycles))
+                 for sign, cycles in permutation_cycles(k))
 
 
 def multilinear_trace_sum(group: FiniteGroup, values, elements) -> object:

@@ -5,10 +5,12 @@ exact coefficients, each an ``int`` or a ``Fraction``; no zero coefficient
 is ever stored, so equality of polynomials is equality of dicts (an integral
 Fraction equals, and hashes like, the same int).  Coefficients enter through
 ``exact``, which keeps integers as ``int``: integer arithmetic stays on the
-fast path, and a Fraction appears only where a denominator does.  The ring
-operations live here once, with two accumulation primitives: ``sum`` and
-``add_product`` build a sum in one dict, where repeated ``+`` would copy the
-running total once per summand.
+fast path, and a Fraction appears only where a denominator does.  A multiple
+by an ``int`` or ``Fraction`` is taken through ``exact`` as well, but a sum
+or product of two polynomials is not: ``1/2*x + 1/2*x`` may still hold the
+integral ``Fraction(1, 1)``.  The ring operations live here once, with
+two accumulation primitives: ``sum`` and ``add_product`` build a sum in one
+dict, where repeated ``+`` would copy the running total once per summand.
 """
 from __future__ import annotations
 
@@ -39,10 +41,11 @@ def render_sum(terms) -> str:
     return " ".join(chunks) or "0"
 
 
-def _add_scaled(out: dict, terms: dict, scale=1) -> None:
-    """out += scale * terms, dropping keys whose coefficient cancels."""
+def add_terms(out: dict, items, scale=1) -> None:
+    """out += scale * c for each (key, c) pair of ``items``, dropping keys
+    whose coefficient cancels."""
     get = out.get
-    for k, c in terms.items():
+    for k, c in items:
         if scale != 1:
             c = c * scale
         old = get(k)
@@ -95,7 +98,7 @@ class SparsePoly:
             if type(part) is not cls:
                 raise TypeError(f"cannot add {type(part).__name__} to {cls.__name__}")
             if scale:
-                _add_scaled(out, part.terms, scale)
+                add_terms(out, part.terms.items(), scale)
         return cls._wrap(out)
 
     @classmethod
@@ -135,7 +138,7 @@ class SparsePoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        _add_scaled(out, other.terms, scale)
+        add_terms(out, other.terms.items(), scale)
         return self._wrap(out)
 
     def __add__(self, other):
@@ -153,6 +156,10 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self._wrap({})
+            return self._wrap({k: exact(c * other) for k, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -5,10 +5,13 @@ from itertools import permutations
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from tracealg.chident import (PermCycles, ch_multilinear, ch_poly,
-                              elementary_from_powersums, polarize, restitute,
-                              sigma, t_multilinear, t_sigma)
+                              elementary_from_powersums, permutation_cycles,
+                              polarize, restitute, sigma, t_multilinear, t_sigma)
 from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
+from tracealg.genmat import is_trace_identity
 from tracealg.mpoly import MPoly
 
 
@@ -207,3 +210,130 @@ class TestFormalIdentities:
             mapping[i] = x(i) * x(n + 1)
             rhs = rhs - tn.substitute(mapping)
         assert lhs == rhs
+
+
+# -- the one-term-per-permutation constructions, kept as oracles --------------
+
+def from_one_line(images) -> PermCycles:
+    """The permutation with images[i] the image of i+1, in cycle form."""
+    n = len(images)
+    remaining = set(range(1, n + 1))
+    cycles = []
+    while remaining:
+        start = min(remaining)
+        cyc = [start]
+        remaining.discard(start)
+        nxt = images[start - 1]
+        while nxt != start:
+            cyc.append(nxt)
+            remaining.discard(nxt)
+            nxt = images[nxt - 1]
+        cycles.append(tuple(cyc))
+    return PermCycles(n, tuple(cycles))
+
+
+def psi_sigma_term(perm: PermCycles, n: int) -> TracePoly:
+    """The word-times-traces monomial of one permutation of S_{n+1}."""
+    word = ()
+    traces = []
+    for cyc in perm.cycles:
+        if n + 1 in cyc:
+            pos = cyc.index(n + 1)
+            word = cyc[pos + 1:] + cyc[:pos]
+        else:
+            traces.append(cyc)
+    return TracePoly.monomial(word, traces)
+
+
+def relabelings(w, traces, k: int):
+    """The term w * prod tr(t) with its k letter occurrences relabeled by
+    each permutation of x_1..x_k, in reading order."""
+    for images in permutations(range(1, k + 1)):
+        pos = len(w)
+        trace_words = []
+        for t in traces:
+            trace_words.append(images[pos:pos + len(t)])
+            pos += len(t)
+        yield TracePoly.monomial(images[:len(w)], trace_words)
+
+
+def oracle_t_multilinear(k):
+    perms = (from_one_line(images) for images in permutations(range(1, k + 1)))
+    return TracePoly.sum((perm.sign, t_sigma(perm)) for perm in perms)
+
+
+def oracle_ch_multilinear(n):
+    perms = (from_one_line(images) for images in permutations(range(1, n + 2)))
+    return TracePoly.sum(((-1) ** n * perm.sign, psi_sigma_term(perm, n)) for perm in perms)
+
+
+def oracle_polarize(p):
+    (k,) = p.term_degrees()
+    return TracePoly.sum((c, monomial) for (w, traces), c in p.terms.items()
+                         for monomial in relabelings(w, traces, k))
+
+
+class TestAgainstTheOneTermOracles:
+    @pytest.mark.parametrize("k", range(7))
+    def test_cycle_walk_lists_every_permutation_once(self, k):
+        walked = list(permutation_cycles(k))
+        expected = {(p.sign, p.cycles) for p in map(from_one_line, permutations(range(1, k + 1)))}
+        assert len(walked) == len(expected) and set(walked) == expected
+        for _, cycles in walked:
+            assert all(cyc[0] == min(cyc) for cyc in cycles)
+            assert [cyc[0] for cyc in cycles] == sorted(cyc[0] for cyc in cycles)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_cycle_walk_comes_in_blocks_by_where_k_goes(self, k):
+        # block 0 has k fixed, block e has k right after e; each block lists
+        # the permutations of {1..k-1} in the walk's order
+        walked = [cycles for _, cycles in permutation_cycles(k)]
+        smaller = [cycles for _, cycles in permutation_cycles(k - 1)]
+        size = len(smaller)
+        for e in range(k):
+            for cycles, base in zip(walked[e * size:(e + 1) * size], smaller):
+                (host,) = [cyc for cyc in cycles if k in cyc]
+                assert host == (k,) if e == 0 else host[host.index(k) - 1] == e
+                dropped = tuple(tuple(v for v in cyc if v != k) for cyc in cycles)
+                assert tuple(cyc for cyc in dropped if cyc) == base
+
+    def test_t_multilinear_sums_to_zero_after_each_block(self):
+        # T_4 vanishes on 2x2 matrices, so each block of T_5 does too
+        blocks = list(permutation_cycles(5))
+        for start in range(0, 120, 24):
+            block = TracePoly.sum((sign, t_sigma(PermCycles(5, cycles)))
+                                  for sign, cycles in blocks[start:start + 24])
+            assert block and is_trace_identity(block, 2)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_t_multilinear(self, k):
+        got = t_multilinear(k)
+        assert got.terms == oracle_t_multilinear(k).terms
+        assert all(type(c) is int for c in got.terms.values())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ch_multilinear(self, n):
+        got = ch_multilinear(n)
+        assert got.terms == oracle_ch_multilinear(n).terms
+        assert all(type(c) is int for c in got.terms.values())
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_polarize_ch_poly(self, n):
+        assert polarize(ch_poly(n)).terms == oracle_polarize(ch_poly(n)).terms
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_polarize_homogeneous_one_variable(self, data):
+        # terms x^a * tr(x^l_1)...tr(x^l_m) of one degree k, tr(1) among them
+        k = data.draw(st.integers(1, 5))
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            lengths = []
+            while data.draw(st.booleans()) and len(lengths) < 3:
+                lengths.append(data.draw(st.integers(0, k - sum(lengths))))
+            c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+            terms.append((c, TracePoly.monomial((1,) * (k - sum(lengths)),
+                                                [(1,) * l for l in lengths])))
+        p = TracePoly.sum(terms)
+        if p:
+            assert polarize(p).terms == oracle_polarize(p).terms

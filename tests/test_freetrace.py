@@ -13,7 +13,9 @@ from tracealg.freetrace import (CyclicWord, TracePoly, formal_trace,
                                 least_rotation, normalize, parse_trace_poly,
                                 substitute, x)
 from tracealg import mpoly
+from tracealg.chident import ch_multilinear, ch_poly, t_multilinear
 from tracealg.mpoly import MPoly
+from tracealg.sparse import render_sum
 
 
 def brute_least_rotation(w):
@@ -301,10 +303,13 @@ def many_term_polys(draw):
 renderings = st.tuples(many_term_polys(), st.sampled_from([None, {1: "x"}])).map(
     lambda case: case[0].render(case[1]))
 
+# multi-letter traces are read as one token, and letters after '*' inline
+WORD_PIECES = ["tr(x1*x2*x3)", "tr(x2*x1)^2", "x1*x2^2", "tr(x1*x0)", "tr( x1*x2)"]
+
 TOKEN_SOUP = ["x", "x1", "x2", "x3", "x0", "12", "0", "3/4", "1/0", "2/", "tr", "tr(",
               "tr(x2)", "tr(x1)", "tr(x1*x2)", "tr(x2*x1^2)", "tr(1)", "tr(x1+x2)",
               "tr(x1-tr(x2))", "(", ")", "(x1-x2)", "(x2+1/2)", "+", "-", "*",
-              "^", "^0", "^2", "^3", "^x", ".", "y", "/"]
+              "^", "^0", "^2", "^3", "^x", ".", "y", "/", *WORD_PIECES]
 
 
 def _expansion_bound(text):
@@ -350,7 +355,7 @@ grammar_texts = st.tuples(
 
 # sums of products whose factors come in any order, traces included
 FACTORS = ["x", "x1", "x2", "x2^2", "2", "1/2", "0", "tr(1)", "tr(x1)", "tr(x2)",
-           "tr(x2*x1)", "tr(x1^2)", "tr(x2)^2"]
+           "tr(x2*x1)", "tr(x1^2)", "tr(x2)^2", *WORD_PIECES]
 shuffled_sums = st.lists(
     st.tuples(st.sampled_from([" + ", " - "]),
               st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4).map("*".join)),
@@ -362,6 +367,87 @@ shuffled_sums = st.lists(
 @settings(max_examples=600, deadline=None, derandomize=True)
 def test_parser_matches_the_reference(text):
     _assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize("text", [
+    "xtr(x2)", "tr(x1)tr(x2)", "x^tr(x1)", "2/tr(x1)", "(x1 tr(x2))", "tr(x1*x2",
+    "tr(x1*x2)*", "tr(x0)*x1", "x1*x0^2", "x1*x2*x0", "tr(x1*x2) .", ") tr(x1) y",
+    "tr(x0) y", "x1*x2 ^ 2*x3", "tr(x3*x1*x2)^2*x2*x1 - tr(x1*x2*x3)^2*x2*x1",
+    "2*x1*x2*tr(x1*x2)*x1", "(x1+x2)*x1*x2", "x1*(x1+x2)*x2", "tr(x1*x2)^0*x1"])
+def test_trace_words_and_inline_letters_match_the_reference(text):
+    _assert_parsers_agree(text)
+
+
+# the messages of the parser these were first pinned on, before trace words
+# were read as one token
+@pytest.mark.parametrize("text, messages", [
+    ("x1*x2*x3", ["degree 2 is above the bound 0", "degree 2 is above the bound 1",
+                  "degree 3 is above the bound 2", None]),
+    ("tr(x1*x2*x3)", ["degree 2 is above the bound 0", "degree 2 is above the bound 1",
+                      "degree 3 is above the bound 2", None]),
+    ("tr(x1*x2)*x3*x4*x5", ["degree 2 is above the bound 0", "degree 2 is above the bound 1",
+                            "degree 3 is above the bound 2", "degree 4 is above the bound 3"]),
+])
+def test_degree_bound_messages_are_pinned(text, messages):
+    for bound, message in enumerate(messages):
+        if message is None:
+            assert parse_trace_poly(text, max_degree=bound) == parse_trace_poly(text)
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                parse_trace_poly(text, max_degree=bound)
+
+
+def old_word_str(w, var_names=None):
+    names = var_names or {}
+    parts = []
+    i = 0
+    while i < len(w):
+        j = i
+        while j < len(w) and w[j] == w[i]:
+            j += 1
+        name = names.get(w[i], f"x{w[i]}")
+        parts.append(name if j - i == 1 else f"{name}^{j - i}")
+        i = j
+    return "*".join(parts)
+
+
+def old_monomial_str(w, traces, var_names=None):
+    parts = []
+    i = 0
+    while i < len(traces):
+        j = i
+        while j < len(traces) and traces[j] == traces[i]:
+            j += 1
+        inner = "1" if not traces[i] else old_word_str(traces[i], var_names)
+        sym = f"tr({inner})"
+        parts.append(sym if j - i == 1 else f"{sym}^{j - i}")
+        i = j
+    if w:
+        parts.append(old_word_str(w, var_names))
+    return "*".join(parts)
+
+
+def old_render(p, var_names=None):
+    """The rendering that wrote every monomial afresh, as the oracle."""
+    def key(item):
+        (w, traces), _ = item
+        return (-len(w), w, tuple((len(t), t) for t in traces))
+    return render_sum((old_monomial_str(w, traces, var_names), c)
+                      for (w, traces), c in sorted(p.terms.items(), key=key))
+
+
+@given(st.one_of(trace_polys(), many_term_polys()),
+       st.sampled_from([None, {1: "x"}, {1: "a", 3: "c"}]))
+@settings(max_examples=100, deadline=None)
+def test_render_matches_the_monomial_oracle(p, var_names):
+    assert p.render(var_names) == old_render(p, var_names)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_render_of_ch_matches_the_monomial_oracle(n):
+    for p in (ch_multilinear(n), ch_poly(n), t_multilinear(n)):
+        assert p.render() == old_render(p)
+        assert p.render({1: "x"}) == old_render(p, {1: "x"})
 
 
 @given(st.one_of(trace_polys(), many_term_polys()))
@@ -556,6 +642,23 @@ def test_concurrent_first_use_gives_each_name_its_own_field():
     done = subprocess.run([sys.executable, "-c", CONCURRENT_FIRST_USE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@kinds
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_scalar_multiples_are_exact(cls, data):
+    p = data.draw(POLYS[cls])
+    scale = data.draw(st.one_of(small_scale, small_rational))
+    for got in (scale * p, p * scale):
+        assert got == cls.sum([(scale, p)])
+        assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+    assert (0 * p).terms == {} and (p * Fraction(0)).terms == {}
+
+
+def test_integer_multiple_of_ch_poly_is_stored_as_int():
+    assert all(type(c) is int for c in (6 * ch_poly(3)).terms.values())
+    assert all(type(c) is int for c in (ch_poly(4) * Fraction(24)).terms.values())
 
 
 def test_integral_coefficients_are_stored_as_int():
