@@ -323,6 +323,12 @@ def _check_size(factors, e: int = 1) -> None:
         raise ValueError(f"{what} is above the bound of {DEGREE0_MAX_BITS} bits")
 
 
+# The parser opens at most this many parentheses around a token: 256 nested
+# levels take 768 of the interpreter's 1000 default frames, which leaves room
+# for the caller's own stack; 300 levels of an unbounded parser overran it.
+MAX_NESTING = 256
+
+
 def _shown(tok) -> str:
     """A token as error messages name it: a trace word token is 'tr'."""
     return tok[0] if type(tok) is tuple else tok
@@ -335,6 +341,11 @@ class _Parser:
     term   := power ('*' power)*
     power  := atom ('^' INT)*
     atom   := INT ['/' INT] | VAR | 'tr' '(' expr ')' | '(' expr ')'
+
+    Each open parenthesis, plain or of a trace, costs three Python frames
+    (``expr``, ``term``, ``atom``), so ``atom`` refuses to open more than
+    ``MAX_NESTING`` of them, before the interpreter's recursion limit is
+    reached.
 
     A parsed value is a monomial ``(coefficient, word, traces)``, its traces
     cyclically normalized but not yet sorted, or a TracePoly.  Scalars,
@@ -361,6 +372,7 @@ class _Parser:
         self.max_degree = max_degree
         self.indices = {}       # letter token -> variable index
         self.trace_words = {}   # letters of a trace word token -> least rotation
+        self.depth = 0          # parentheses open around the current token
         self.advance()
 
     def advance(self) -> None:
@@ -439,7 +451,7 @@ class _Parser:
             v = self.term()
 
     def term(self):
-        v = self.power()
+        v = self.powers(self.atom())
         while self.tok == "*":
             self.advance()
             tok = self.tok
@@ -454,7 +466,7 @@ class _Parser:
                     v = (v[0], v[1] + f[1], v[2])
                     continue
             else:
-                f = self.power()
+                f = self.powers(self.atom())
             if self.max_degree is not None:
                 self.check_degree(_degree(v) + _degree(f))
             if type(v) is tuple and type(f) is tuple:
@@ -463,9 +475,6 @@ class _Parser:
                 _check_size([_size(v), _size(f)])
                 v = _as_poly(v) * _as_poly(f)
         return v
-
-    def power(self):
-        return self.powers(self.atom())
 
     def powers(self, v):
         """``v`` raised by each '^' INT that follows."""
@@ -499,18 +508,21 @@ class _Parser:
             return (int(tok), (), ())
         if tok[0] == "x":
             return (1, (self.letter(tok),), ())
-        if tok == "tr":
-            self.take("(")
+        if tok == "tr" or tok == "(":
+            if tok == "tr":
+                self.take("(")
+            if self.depth == MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} levels")
+            self.depth += 1
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
+            if tok == "(":
+                return inner
             if type(inner) is tuple:
                 c, word, traces = inner
                 return (c, (), traces + (least_rotation(word),))
             return inner.trace()
-        if tok == "(":
-            inner = self.expr()
-            self.take(")")
-            return inner
         raise ValueError(f"unexpected token {tok!r}")
 
     def letter(self, tok: str) -> int:

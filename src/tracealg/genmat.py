@@ -4,6 +4,9 @@ Trace-identity checking is symbolic: a polynomial is an identity of n x n
 matrices iff it vanishes on matrices of fresh commuting indeterminates.
 Trace polynomials commute with simultaneous conjugation, so one of those
 matrices may be a generic diagonal one (see ``is_trace_identity``).
+``evaluate`` is the one evaluator, for generic and concrete matrices alike:
+it folds a trie of the terms by Horner's rule, so sums cancel before they
+are multiplied and a common factor is multiplied once (see ``evaluate``).
 Random rational search is only an accelerator for finding counterexamples;
 a witness is returned only when its exact evaluation is nonzero.
 
@@ -22,6 +25,7 @@ from math import lcm
 
 from .freetrace import TracePoly
 from .mpoly import MPoly, PolyMatrix, resultant
+from .sparse import add_terms
 
 
 def entry_name(i: int, h: int, k: int) -> str:
@@ -53,6 +57,25 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
 
     Words evaluate by matrix product, trace symbols by the matrix trace,
     and the empty trace symbol tr(1) by the scalar n.
+
+    The terms are read into one trie, each key (w, traces) as the path of
+    the letters of w and then the trace words, in key order; a term's
+    coefficient sits at the end of its path.  Every node stands for the sum
+    over the terms below it of their coefficient times the rest of their
+    path, and the trie is folded from the leaves up (Horner's rule):
+
+    - a trace edge t adds tr(t) times the child's sum to its parent's
+      scalar, since traces are scalars and commute with everything;
+    - a letter edge a adds X_a times the child's sum (its matrix plus its
+      scalar times I) to its parent's matrix, by distributivity.
+
+    So the root's matrix plus its scalar times I is the sum of the terms.
+    Sums cancel at inner nodes before they are multiplied, and a factor
+    common to a subtree is multiplied once.  Each distinct tr(t) is
+    computed once per call from the value of t without its last letter,
+    found in a trie of evaluated word prefixes.  Nodes are made after their
+    parents, so the fold visits them in reverse order of creation, with no
+    recursion.
     """
     for i, m in assignment.items():
         if m.size != n:
@@ -74,18 +97,75 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
             value, longer = node
         return value
 
-    total = [[{} for _ in range(n)] for _ in range(n)]
+    def trace_value(w):
+        """tr(w) as the sum of U[h][k] * X[k][h], with U the value of w
+        without its last letter and X that letter's matrix; the value of w
+        itself is never formed."""
+        u, x = word_value(w[:-1]).rows, assignment[w[-1]].rows
+        out = {}
+        for h, u_row in enumerate(u):
+            for k, u_entry in enumerate(u_row):
+                x_entry = x[k][h]
+                if u_entry.terms and x_entry.terms:
+                    MPoly.add_product(out, u_entry, x_entry)
+        return MPoly._wrap(out)
+
+    # the term trie: node 0 is the root, node i > 0 hangs from parent[i] by
+    # edge[i], a letter (int) or a trace word (tuple)
+    children = {}   # (node, edge) -> child node
+    parent, edge, scalar = [None], [None], [{}]
     for (w, traces), c in p.terms.items():
-        scalar = MPoly.const(c)
-        for t in traces:
-            if not t:
-                scalar = scalar * n
-            else:
-                scalar = scalar * word_value(t).trace()
-        for out_row, row in zip(total, word_value(w).rows):
-            for out, entry in zip(out_row, row):
-                MPoly.add_product(out, entry, scalar)
-    return PolyMatrix([[MPoly(out) for out in out_row] for out_row in total])
+        node = 0
+        for label in (*w, *traces):
+            child = children.get((node, label))
+            if child is None:
+                child = children[node, label] = len(parent)
+                parent.append(node)
+                edge.append(label)
+                scalar.append({})
+            node = child
+        scalar[node][MPoly.UNIT_KEY] = c
+    del children
+
+    matrix = [None] * len(parent)   # node -> its matrix part, rows of term dicts
+    trace_values = {}               # trace word -> its trace
+    wrap = MPoly._wrap
+    for node in range(len(parent) - 1, 0, -1):
+        s, m, label, up = scalar[node], matrix[node], edge[node], parent[node]
+        scalar[node] = matrix[node] = None
+        if type(label) is tuple:
+            # a trace edge: the node and everything below it are scalars
+            if not s:
+                continue
+            if not label:
+                add_terms(scalar[up], s.items(), n)
+                continue
+            t = trace_values.get(label)
+            if t is None:
+                t = trace_values[label] = trace_value(label)
+            MPoly.add_product(scalar[up], t, wrap(s))
+            continue
+        if m is None:
+            if not s:
+                continue
+            m = [[s if h == k else {} for k in range(n)] for h in range(n)]
+        elif s:
+            for h in range(n):
+                add_terms(m[h][h], s.items())
+        out = matrix[up]
+        if out is None:
+            out = matrix[up] = [[{} for _ in range(n)] for _ in range(n)]
+        rows = [[wrap(e) for e in row] for row in m]
+        for out_row, x_row in zip(out, assignment[label].rows):
+            for x_entry, row in zip(x_row, rows):
+                if x_entry.terms:
+                    for acc, e in zip(out_row, row):
+                        if e.terms:
+                            MPoly.add_product(acc, x_entry, e)
+    out = matrix[0] or [[{} for _ in range(n)] for _ in range(n)]
+    for h in range(n):
+        add_terms(out[h][h], scalar[0].items())
+    return PolyMatrix([[wrap(e) for e in row] for row in out])
 
 
 def is_trace_identity(p: TracePoly, n: int) -> bool:
@@ -104,13 +184,20 @@ def is_trace_identity(p: TracePoly, n: int) -> bool:
     not change whether it vanishes, so the evaluation runs over int.
     """
     denom = lcm(*(c.denominator for c in p.terms.values()))
+    return evaluate(denom * p, generic_assignment(p, n), n).is_zero()
+
+
+def generic_assignment(p: TracePoly, n: int) -> dict:
+    """The matrices ``is_trace_identity`` evaluates p on: a generic diagonal
+    matrix for the variable with the most letter occurrences in p (the
+    smallest index among ties), a full generic matrix for every other."""
     assignment = {i: generic_matrix(i, n) for i in p.variables()}
     if assignment:
         occurrences = Counter(letter for w, traces in p.terms
                               for word in (w, *traces) for letter in word)
         diagonal = min(assignment, key=lambda i: (-occurrences[i], i))
         assignment[diagonal] = generic_diagonal_matrix(diagonal, n)
-    return evaluate(denom * p, assignment, n).is_zero()
+    return assignment
 
 
 def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0):

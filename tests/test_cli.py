@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from tracealg.characters import character_table
 import tracealg
-from tracealg.cli import CHDEG_MAX_MULTISETS, CHPOLY_MAX_N, STRATA_MAX_N, main
+from tracealg.cli import (CHDEG_MAX_MULTISETS, CHPOLY_MAX_N, STRATA_MAX_N,
+                          VERIFY_T_MAX_K, main)
+from tracealg.freetrace import MAX_NESTING
 from tracealg.findim import weighted_semisimple
 from tracealg.jsonio import dump_algebra, dump_group
 from tracealg.pseudochar import cyclic_group, dihedral_group, symmetric_group_3
@@ -166,6 +168,56 @@ class TestVerify:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output
+
+
+class TestVerifyBounds:
+    """verify refuses a builtin above its bound, and text nested deeper than
+    freetrace.MAX_NESTING, with exit 2 before any term is built."""
+
+    @pytest.mark.parametrize("poly", [f"builtin:ch{CHPOLY_MAX_N}", f"builtin:T{VERIFY_T_MAX_K}"])
+    def test_builtins_at_the_bound_run(self, poly):
+        # about 0.8 s and 30 MB, and 1 s and 50 MB (Python 3.11.7, 2 cores)
+        result, seconds = run_cli_process(["verify", "--poly", poly, "--size", "1"])
+        assert result.returncode == 0, result.stderr
+        assert seconds < 10.0
+        assert result.stdout == f"identity: {poly} vanishes on all 1x1 matrices\n"
+
+    @pytest.mark.parametrize("poly, message", [
+        (f"builtin:ch{CHPOLY_MAX_N + 1}",
+         f"n = {CHPOLY_MAX_N + 1} is above the bound {CHPOLY_MAX_N}"),
+        ("builtin:ch30", f"n = 30 is above the bound {CHPOLY_MAX_N}"),
+        (f"builtin:T{VERIFY_T_MAX_K + 1}",
+         f"k = {VERIFY_T_MAX_K + 1} is above the bound {VERIFY_T_MAX_K}"),
+        ("builtin:T99999999999999999999",
+         f"k = 99999999999999999999 is above the bound {VERIFY_T_MAX_K}")])
+    def test_builtins_above_the_bound_exit_2_at_once(self, poly, message):
+        # builtin:ch30 ran 6 s, builtin:T9 11-15 s
+        result, seconds = run_cli_process(["verify", "--poly", poly, "--size", "1"])
+        assert result.returncode == 2
+        assert seconds < 5.0
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert f"error: --poly: {poly}: {message}" in result.stderr
+
+    @pytest.mark.parametrize("argv, code", [(["polarize", "--expr"], 0),
+                                            (["verify", "--size", "1", "--poly"], 1)])
+    def test_nesting_at_the_bound_runs(self, argv, code):
+        text = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        result, _ = run_cli_process(argv + [text])
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [["polarize", "--expr"],
+                                      ["verify", "--size", "1", "--poly"]])
+    @pytest.mark.parametrize("opener", ["(", "tr("])
+    def test_nesting_past_the_bound_exits_2(self, argv, opener):
+        # 250 nested '(' or 300 nested 'tr(' exited 1 with a RecursionError
+        depth = MAX_NESTING + 1
+        result, _ = run_cli_process(argv + [opener * depth + "x+x2" + ")" * depth])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert f"nested deeper than {MAX_NESTING} levels" in result.stderr
 
 
 class TestDegreeZeroPowers:

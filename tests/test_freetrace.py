@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracealg.freetrace import (CyclicWord, TracePoly, formal_trace,
-                                least_rotation, normalize, parse_trace_poly,
-                                substitute, x)
+from tracealg.freetrace import (MAX_NESTING, CyclicWord, TracePoly,
+                                formal_trace, least_rotation, normalize,
+                                parse_trace_poly, substitute, x)
 from tracealg import mpoly
 from tracealg.chident import ch_multilinear, ch_poly, t_multilinear
 from tracealg.mpoly import MPoly
@@ -509,6 +509,37 @@ class TestDegreeZeroPowerBound:
         ("(2^32768+x)*(2^32768+1)", "product of 32769-bit and 32769-bit coefficients")])
     def test_products_with_a_sum_above_the_bound_are_refused(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message) + " is above the bound"):
+            parse_trace_poly(text)
+
+
+class TestNestingBound:
+    """The parser recurses once per open parenthesis; past MAX_NESTING it
+    refuses with ValueError instead of overrunning the interpreter stack."""
+
+    @staticmethod
+    def nested(opener, depth, inner="x"):
+        return opener * depth + inner + ")" * depth
+
+    @pytest.mark.parametrize("depth", [245, MAX_NESTING])
+    def test_at_the_bound_parses(self, depth):
+        assert parse_trace_poly(self.nested("(", depth)) == x(1)
+        assert parse_trace_poly(self.nested("-(", depth)) == (-1) ** depth * x(1)
+        tr1 = TracePoly.trace_symbol(())
+        # the innermost tr(x) is one token, so it opens no parenthesis
+        assert parse_trace_poly(self.nested("tr(", depth + 1)) == \
+            tr1 ** depth * TracePoly.trace_symbol([1])
+        assert parse_trace_poly(self.nested("tr(", depth, "x1+x2")) == \
+            tr1 ** (depth - 1) * formal_trace(x(1) + x(2))
+
+    @pytest.mark.parametrize("text", [
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "tr(" * (MAX_NESTING + 1) + "x1+x2" + ")" * (MAX_NESTING + 1),
+        "(" * MAX_NESTING + "x*(x+1)" + ")" * MAX_NESTING,
+        "(" * 300 + "x" + ")" * 300,
+        "tr(" * 5000 + "x" + ")" * 5000])
+    def test_past_the_bound_is_refused(self, text):
+        with pytest.raises(ValueError, match=f"^parentheses nested deeper than "
+                                             f"{MAX_NESTING} levels$"):
             parse_trace_poly(text)
 
 

@@ -1,24 +1,53 @@
 """Evaluation on matrices, identity checking, diagonal models."""
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracealg import linalg
 from tracealg.chident import ch_multilinear, ch_poly, t_multilinear
-from tracealg.freetrace import TracePoly, formal_trace, x
+from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
 from tracealg.genmat import (diagonal_model, discriminant_relation, evaluate,
-                             generic_diagonal_matrix, generic_discriminant,
-                             generic_matrix, is_trace_identity,
-                             random_counterexample, rational_matrix,
-                             repeated_root_coordinates)
+                             generic_assignment, generic_diagonal_matrix,
+                             generic_discriminant, generic_matrix,
+                             is_trace_identity, random_counterexample,
+                             rational_matrix, repeated_root_coordinates)
 from tracealg.mpoly import MPoly, PolyMatrix
 
 
+def reference_evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
+    """The oracle evaluator, term by term: each term's traces multiplied one
+    by one, and the product added into every entry of its word's value."""
+    identity = PolyMatrix.identity(n)
+    prefixes = {}
+
+    def word_value(w):
+        value, longer = identity, prefixes
+        for letter in w:
+            node = longer.get(letter)
+            if node is None:
+                node = longer[letter] = (value * assignment[letter], {})
+            value, longer = node
+        return value
+
+    total = [[{} for _ in range(n)] for _ in range(n)]
+    for (w, traces), c in p.terms.items():
+        scalar = MPoly.const(c)
+        for t in traces:
+            scalar = scalar * (word_value(t).trace() if t else n)
+        for out_row, row in zip(total, word_value(w).rows):
+            for out, entry in zip(out_row, row):
+                MPoly.add_product(out, entry, scalar)
+    return PolyMatrix([[MPoly(out) for out in out_row] for out_row in total])
+
+
 def all_generic_verdict(p: TracePoly, n: int) -> bool:
-    """The oracle: p evaluated with a full generic matrix for every variable."""
-    return evaluate(p, {i: generic_matrix(i, n) for i in p.variables()}, n).is_zero()
+    """The oracle: p evaluated term by term with a full generic matrix for
+    every variable."""
+    return reference_evaluate(
+        p, {i: generic_matrix(i, n) for i in p.variables()}, n).is_zero()
 
 
 class TestGenericMatrix:
@@ -136,6 +165,42 @@ class TestIsTraceIdentity:
         assert not is_trace_identity(p, 1)
         assert evaluate(p, {1: rational_matrix([[1]])}, 1) == PolyMatrix.identity(1)
 
+    def test_many_trace_factors_need_no_recursion(self):
+        # one trie node per trace factor, folded by a loop
+        p = TracePoly.trace_symbol([1]) ** 3000
+        assert not is_trace_identity(p, 1)
+        out = evaluate(p, {1: generic_matrix(1, 1)}, 1)
+        assert out == PolyMatrix([[MPoly.var("xi1_1_1", 3000)]])
+        assert evaluate(p, {1: rational_matrix([[-1]])}, 1) == PolyMatrix.identity(1)
+
+
+def _standard_polynomial(k):
+    out = TracePoly.zero()
+    for perm in permutations(range(1, k + 1)):
+        inversions = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+        out = out + (-1) ** inversions * TracePoly.word(perm)
+    return out
+
+
+def _known_verdict_cases():
+    """CH_n, T_k, the multilinear CH_n, s_4 and Hall's polynomial at the
+    sizes of their known verdicts, up to T_5 at 4, as (polynomial, size)."""
+    hall = parse_trace_poly("(x1*x2 - x2*x1)^2*x3 - x3*(x1*x2 - x2*x1)^2")
+    cases = ([(f"ch{n}@{m}", ch_poly(n), m) for n in range(1, 5) for m in range(1, n + 2)]
+             + [(f"T{k}@{n}", t_multilinear(k), n) for k in range(2, 6)
+                for n in range(1, min(k, 4) + 1)]
+             + [(f"chm{n}@{m}", ch_multilinear(n), m) for n in range(2, 5)
+                for m in (n, n + 1) if (n, m) != (4, 5)]
+             + [(f"s4@{m}", _standard_polynomial(4), m) for m in (2, 3)]
+             + [(f"hall@{m}", hall, m) for m in (2, 3)])
+    return [pytest.param(p, n, id=label) for label, p, n in cases]
+
+
+@pytest.mark.parametrize("p,n", _known_verdict_cases())
+def test_the_factored_evaluation_equals_the_term_sum(p, n):
+    assignment = generic_assignment(p, n)
+    assert evaluate(p, assignment, n) == reference_evaluate(p, assignment, n)
+
 
 # -- one diagonal matrix against the all-generic oracle --------------------------
 
@@ -174,6 +239,54 @@ def trace_polynomials(draw, n):
 def test_diagonal_reduction_matches_the_all_generic_oracle(case):
     n, p = case
     assert is_trace_identity(p, n) is all_generic_verdict(p, n)
+
+
+# -- the factored evaluator against the term-by-term oracle -----------------------
+
+long_words = st.lists(letters, max_size=4).map(tuple)   # letters repeat
+entries = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+
+@st.composite
+def assignments(draw, p, n):
+    """Matrices for the variables of p (and one more), all full generic,
+    one diagonal as in ``is_trace_identity``, every one diagonal, or
+    constant with int or Fraction entries."""
+    variables = p.variables() | {draw(letters)}
+    kind = draw(st.sampled_from(["generic", "one diagonal", "all diagonal", "constant"]))
+    if kind == "generic":
+        return {i: generic_matrix(i, n) for i in variables}
+    if kind == "one diagonal":
+        return {**{i: generic_matrix(i, n) for i in variables}, **generic_assignment(p, n)}
+    if kind == "all diagonal":
+        return {i: generic_diagonal_matrix(i, n) for i in variables}
+    return {i: rational_matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                             min_size=n, max_size=n)))
+            for i in variables}
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A size, a polynomial and an assignment.  The polynomial mixes int and
+    Fraction coefficients, long words with repeated letters, tr(1) and
+    terms that cancel on matrices (see ``trace_polynomials``); sometimes it
+    is replaced by its formal trace, a pure-trace polynomial."""
+    n = draw(st.integers(1, 3))
+    p = draw(trace_polynomials(n))
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.one_of(st.integers(-3, 3), coefficients))
+        p = p + c * TracePoly.monomial(draw(long_words), draw(st.lists(short_words, max_size=2)))
+    if draw(st.booleans()):
+        p = formal_trace(p)
+    return n, p, draw(assignments(p, n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(evaluation_cases())
+def test_evaluate_matches_the_term_by_term_oracle(case):
+    n, p, assignment = case
+    assert evaluate(p, assignment, n) == reference_evaluate(p, assignment, n)
 
 
 class TestOneDiagonalMatrix:

@@ -3,8 +3,9 @@
 Library checks must survive ``python -O``, which strips ``assert``, no
 module imports a name it never uses, every function is referenced
 somewhere, ``findim`` imports no free-algebra module, ``cyclotomic`` only
-``sparse`` and ``linalg`` no ``tracealg`` module at all, and only the
-algebra's own methods and its JSON dump read its structure constants.
+``sparse`` and ``linalg`` no ``tracealg`` module at all, only the
+algebra's own methods and its JSON dump read its structure constants, and
+no function in ``genmat`` calls itself.
 """
 import ast
 from pathlib import Path
@@ -139,3 +140,34 @@ def test_cyclotomic_is_an_exact_scalar():
     of its coefficients."""
     found = sorted(_imported_modules("cyclotomic") & ({p.stem for p in SOURCES} | {"tracealg"}))
     assert found == ["sparse"], f"cyclotomic.py imports {found}"
+
+
+def _self_callers(tree):
+    """Each function (or method) whose body calls a function of its own
+    name, by a plain name or an attribute (``f(...)``, ``self.f(...)``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == node.name:
+                        found.append(f"{node.name}:{call.lineno}")
+    return found
+
+
+def test_the_self_call_lint_sees_recursion():
+    tree = ast.parse("def f(k):\n    return f(k - 1)\n"
+                     "class A:\n    def g(self):\n        def h():\n"
+                     "            return self.g()\n        return h()\n")
+    assert sorted(_self_callers(tree)) == ["f:2", "g:6"]
+
+
+def test_genmat_does_not_recurse():
+    """``genmat`` evaluates words of thousands of letters and terms of
+    thousands of trace factors, so its stack depth must not grow with the
+    input: no function in it calls itself."""
+    path = ROOT / "src" / "tracealg" / "genmat.py"
+    found = _self_callers(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"genmat.py functions calling themselves: {found}"
