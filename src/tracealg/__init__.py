@@ -18,7 +18,7 @@ Subpackages:
 * cli        -- the `tracealg` command
 """
 
-from .freetrace import CyclicWord, TracePoly, formal_trace, normalize, parse_trace_poly
+from .freetrace import TracePoly, formal_trace, parse_trace_poly
 from .chident import ch_multilinear, ch_poly, polarize, sigma, t_multilinear
 from .genmat import (diagonal_model, discriminant_relation, evaluate,
                      generic_matrix, is_trace_identity, random_counterexample)
@@ -32,7 +32,7 @@ from .strata import (StratumType, closure_leq, enumerate_types,
                      maximal_degenerations, stratification_poset, stratum_dims)
 
 __all__ = [
-    "CyclicWord", "TracePoly", "formal_trace", "normalize", "parse_trace_poly",
+    "TracePoly", "formal_trace", "parse_trace_poly",
     "ch_multilinear", "ch_poly", "polarize", "sigma", "t_multilinear",
     "diagonal_model", "discriminant_relation", "evaluate", "generic_matrix",
     "is_trace_identity", "random_counterexample", "generic_algebra_rank",

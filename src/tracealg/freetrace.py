@@ -13,7 +13,6 @@ it only becomes the matrix size at evaluation time (genmat / findim).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .sparse import SparsePoly, add_terms, exact, render_sum
@@ -45,27 +44,6 @@ def least_rotation(word: Word) -> Word:
     return word[k:] + word[:k]
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """A rotation class of words; ``representative`` is the least rotation."""
-
-    representative: Word
-    length: int
-
-    @classmethod
-    def of(cls, letters) -> "CyclicWord":
-        w = tuple(letters)
-        return cls(least_rotation(w), len(w))
-
-    def __str__(self):
-        return "tr(" + ("1" if not self.representative else _word_str(self.representative)) + ")"
-
-
-def normalize(letters) -> CyclicWord:
-    """Canonical cyclic form of a word; the empty word is the tr(1) symbol."""
-    return CyclicWord.of(letters)
-
-
 def _trace_key(w: Word):
     return (len(w), w)
 
@@ -79,6 +57,15 @@ def sort_traces(traces) -> tuple:
 def _check_index(i: int) -> None:
     if i < 1:
         raise ValueError("variable indices are positive integers")
+
+
+def _letter_of(image):
+    """j when ``image`` is the variable x_j with coefficient 1, else None."""
+    if type(image) is TracePoly and len(image.terms) == 1:
+        ((w, traces), c), = image.terms.items()
+        if c == 1 and len(w) == 1 and not traces:
+            return w[0]
+    return None
 
 
 def _key_mul(k1, k2):
@@ -135,20 +122,31 @@ class TracePoly(SparsePoly):
     def variables(self) -> set:
         out = set()
         for (w, traces) in self.terms:
-            out.update(w)
-            for t in traces:
-                out.update(t)
+            out.update(w, *traces)
         return out
 
     def substitute(self, mapping) -> "TracePoly":
         """Apply the trace-compatible endomorphism x_i -> mapping[i].
 
-        Every variable occurring in self must be mapped; traces of substituted
-        words are re-expanded and re-normalized.
+        Every variable occurring in self must be mapped.  When each of them
+        maps to a variable x_j with coefficient 1 (a relabeling, or
+        ``chident.restitute``), each key is relabeled letter by letter, its
+        traces re-rotated and re-sorted, and keys that the map merges are
+        added up.  Any other image expands each word as a product of the
+        images and re-normalizes the traces of the expanded words.
         """
-        missing = sorted(v for v in self.variables() if v not in mapping)
+        variables = self.variables()
+        missing = sorted(v for v in variables if v not in mapping)
         if missing:
             raise ValueError(f"variable x{missing[0]} is not mapped in substitution")
+        letters = {}
+        for v in variables:
+            j = _letter_of(mapping[v])
+            if j is None:
+                break
+            letters[v] = j
+        else:
+            return self._relabel(letters)
         word_cache = {}
 
         def expand(word):
@@ -167,6 +165,31 @@ class TracePoly(SparsePoly):
             return acc
 
         return TracePoly.sum((c, image(w, traces)) for (w, traces), c in self.terms.items())
+
+    def _relabel(self, letters: dict) -> "TracePoly":
+        """The image under x_i -> x_{letters[i]}, written key by key into one
+        dict: each distinct trace word is relabeled and rotated once."""
+        rotations = {}
+        out = {}
+        get = out.get
+        for (w, traces), c in self.terms.items():
+            if traces:
+                ts = []
+                for t in traces:
+                    r = rotations.get(t)
+                    if r is None:
+                        r = rotations[t] = least_rotation(tuple([letters[a] for a in t]))
+                    ts.append(r)
+                traces = sort_traces(ts)
+            key = (tuple([letters[a] for a in w]), traces)
+            old = get(key)
+            if old is not None:
+                c += old
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return TracePoly._wrap(out)
 
     # -- term inspection ----------------------------------------------------
     def term_degrees(self):
@@ -257,12 +280,18 @@ def x(i: int) -> TracePoly:
 
 # -- parser -------------------------------------------------------------------
 
-# One token per match.  tr(<letters joined by *>) with no blanks inside is
-# one token, group _TRACE_WORD; any other tr( is read a token at a time.  The
-# last group catches any other character, which cannot start a token.
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d*)|tr\((x\d*(?:\*x\d*)*)\)|(tr)|([()+\-*^/])|(\S))")
-_TRACE_WORD = 3
-_UNTOKENIZABLE = 6
+# One token per match.  Two or more simple factors, letters and trace words
+# tr(<letters joined by *>), joined by '*' with no blanks are one token,
+# group 'product', unless a digit or a '^' follows it: then the power binds to
+# its last factor, and the token ends before that factor.  A trace word alone
+# is one token, group 'trace'; any other tr( is read a token at a time.  The
+# group 'bad' catches any other character, which cannot start a token.
+_WORD = r"x\d*(?:\*x\d*)*"
+_SIMPLE = rf"(?:x\d*|tr\({_WORD}\))"
+_TOKEN = re.compile(rf"\s*(?:(?P<product>{_SIMPLE}(?:\*{_SIMPLE})+)(?!\d|\s*\^)"
+                    rf"|(\d+)|(x\d*)|tr\((?P<trace>{_WORD})\)|(tr)|([()+\-*^/])|(?P<bad>\S))")
+# the factors of a product token: (letter, '') or ('', letters of a trace word)
+_FACTORS = re.compile(rf"(x\d*)|tr\(({_WORD})\)")
 
 
 def _as_poly(v) -> TracePoly:
@@ -330,7 +359,11 @@ MAX_NESTING = 256
 
 
 def _shown(tok) -> str:
-    """A token as error messages name it: a trace word token is 'tr'."""
+    """A token as error messages name it: a trace word token is 'tr', and a
+    product token is named by its first factor."""
+    if type(tok) is list:
+        letter, _ = tok[0]
+        return letter or "tr"
     return tok[0] if type(tok) is tuple else tok
 
 
@@ -358,9 +391,10 @@ class _Parser:
 
     Tokens are read one at a time from ``_TOKEN.finditer``; ``tok`` is the
     next one (None at the end).  A trace word token is the pair ('tr',
-    letters), and a letter after '*' with no '^' after it is appended to the
-    monomial in ``term``.  Both meet the same checks, in the same order, as
-    the atoms they stand for.  Each distinct letter and trace word is
+    letters).  A product token, such as ``x1*tr(x2*x3)*x4``, is the list of
+    its factors, and ``term`` multiplies them in, in order, as it would the
+    atoms they stand for.  Both meet the same checks, in the same
+    order, as those atoms.  Each distinct letter and trace word is
     converted once per parse.  An untokenizable character anywhere in the
     text is reported before any other error, as if the text had been
     tokenized first.
@@ -377,11 +411,16 @@ class _Parser:
 
     def advance(self) -> None:
         for m in self.matches:
-            group = m.lastindex
-            if group == _UNTOKENIZABLE:
+            kind = m.lastgroup
+            if kind is None:
+                self.tok = m[m.lastindex]
+            elif kind == "product":
+                self.tok = _FACTORS.findall(m[kind])
+            elif kind == "trace":
+                self.tok = ("tr", m[kind])
+            else:
                 self.matches = iter(())
                 raise ValueError(f"cannot tokenize input at: {self.text[m.start():]!r}")
-            self.tok = m[group] if group != _TRACE_WORD else ("tr", m[group])
             return
         self.tok = None
 
@@ -405,7 +444,7 @@ class _Parser:
                 raise ValueError(f"trailing input at token {_shown(self.tok)!r}")
         except ValueError:
             for m in self.matches:
-                if m.lastindex == _UNTOKENIZABLE:
+                if m.lastgroup == "bad":
                     raise ValueError(
                         f"cannot tokenize input at: {self.text[m.start():]!r}") from None
             raise
@@ -451,37 +490,66 @@ class _Parser:
             v = self.term()
 
     def term(self):
-        v = self.powers(self.atom())
-        while self.tok == "*":
-            self.advance()
+        v = None    # at the start of the term
+        while True:
             tok = self.tok
-            if type(tok) is str and tok[0] == "x":
+            if type(tok) is list:
                 self.advance()
-                f = (1, (self.letter(tok),), ())
-                if self.tok == "^":
-                    f = self.powers(f)
-                elif type(v) is tuple:
-                    if self.max_degree is not None:
-                        self.check_degree(_degree(v) + 1)
-                    v = (v[0], v[1] + f[1], v[2])
-                    continue
+                v = self.product(v, tok)
             else:
                 f = self.powers(self.atom())
-            if self.max_degree is not None:
-                self.check_degree(_degree(v) + _degree(f))
-            if type(v) is tuple and type(f) is tuple:
-                v = (v[0] * f[0], v[1] + f[1], v[2] + f[2])
+                v = f if v is None else self.times(v, f)
+            if self.tok != "*":
+                return v
+            self.advance()
+
+    def product(self, v, factors):
+        """``v`` times the factors of a product token, in order, with the
+        checks that ``times`` makes; their product alone when ``v`` is
+        None.  A monomial ``v`` takes the letters and traces in place."""
+        if v is not None and type(v) is not tuple:
+            for letter, letters in factors:
+                f = (1, (self.letter(letter),), ()) if letter else \
+                    (1, (), (self.trace_word(letters),))
+                v = self.times(v, f)
+            return v
+        if v is None:
+            c, word, traces = 1, [], []
+        else:
+            c, word, traces = v[0], list(v[1]), list(v[2])
+        bound = self.max_degree
+        degree = len(word) + sum(map(len, traces))
+        check = v is not None   # the first factor of a term is no product yet
+        indices, rotations = self.indices, self.trace_words
+        for letter, letters in factors:
+            if letter:
+                word.append(indices.get(letter) or self.letter(letter))
+                degree += 1
             else:
-                _check_size([_size(v), _size(f)])
-                v = _as_poly(v) * _as_poly(f)
-        return v
+                t = rotations.get(letters) or self.trace_word(letters)
+                traces.append(t)
+                degree += len(t)
+            if check and bound is not None:
+                self.check_degree(degree)
+            check = True
+        return (c, tuple(word), tuple(traces))
+
+    def times(self, v, f):
+        """The product ``v*f``, after its degree and size checks."""
+        if self.max_degree is not None:
+            self.check_degree(_degree(v) + _degree(f))
+        if type(v) is tuple and type(f) is tuple:
+            c = v[0] if f[0] == 1 else v[0] * f[0]   # most factors are letters
+            return (c, v[1] + f[1], v[2] + f[2])
+        _check_size([_size(v), _size(f)])
+        return _as_poly(v) * _as_poly(f)
 
     def powers(self, v):
         """``v`` raised by each '^' INT that follows."""
         while self.tok == "^":
             self.advance()
             e = self.take()
-            if type(e) is tuple or not e.isdigit():
+            if type(e) is not str or not e.isdigit():
                 raise ValueError(f"expected integer exponent, got {_shown(e)!r}")
             e = int(e)
             degree = _degree(v)
@@ -500,7 +568,7 @@ class _Parser:
             if self.tok == "/":
                 self.advance()
                 den = self.take()
-                if type(den) is tuple or not den.isdigit():
+                if type(den) is not str or not den.isdigit():
                     raise ValueError(f"expected denominator, got {_shown(den)!r}")
                 if int(den) == 0:
                     raise ValueError(f"zero denominator in {tok}/{den}")
