@@ -214,4 +214,4 @@ def polarize(p: TracePoly) -> TracePoly:
 
 def restitute(p: TracePoly) -> TracePoly:
     """Set every variable of p equal to x_1."""
-    return p.substitute({v: TracePoly.variable(1) for v in p.variables()})
+    return p._relabel(dict.fromkeys(p.variables(), 1))

@@ -16,18 +16,26 @@ pseudo-representation recursion of Taylor (1991) and Chenevier (2014),
 
 which splits S_{k+1} by whether k+1 is fixed or follows i in its cycle.
 Each cycle product starts at its least index, which is k+1 only when k+1 is
-fixed, so the recursion holds for every table on ordered tuples.  The scan
-memoizes its values for every table: for a class function T_k is symmetric
-in its arguments, so the memo keys are sorted multisets; for a table that
-fails axiom 2 they are the ordered tuples as given.
+fixed, so the recursion holds for every table on ordered tuples.
+
+For a class function T_k is symmetric in its arguments, and every term of
+the recursion on a multiset of size k+1 is a value on a multiset of size k.
+The exhaustive scan of a class function therefore fills T_k level by level,
+k = 1..n+1, each level in ``combinations_with_replacement`` order and keyed
+by an integer code of the multiset (``_level_trace_sums``): every level is
+needed in full, and one level is all the next one reads.  A sampled scan
+reaches only a few multisets of each level, and a table that fails axiom 2
+is not symmetric, so both evaluate each tuple depth-first
+(``_recursive_trace_sum``), with a memo keyed on sorted multisets or on the
+ordered tuples as given.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 from .chident import permutation_cycles
 from .findim import (TraceAlgebra, ch_degree, make_algebra, quotient_algebra,
@@ -187,27 +195,19 @@ class PseudoCheckReport:
     axiom3_witness: object = None   # least tuple where T_{n+1} != 0
     exhaustive: bool = True
     tuples_checked: int = 0
-    memo_states: int = 0            # T_k values memoized by the recursion
-
-
-@lru_cache(maxsize=None)
-def _perm_cycle_data(k: int):
-    """Signs and cycle index-tuples for all permutations of {1..k}."""
-    return tuple((sign, tuple(tuple(i - 1 for i in cyc) for cyc in cycles))
-                 for sign, cycles in permutation_cycles(k))
+    memo_states: int = 0            # T_k values the scan stored, T_0 included
 
 
 def multilinear_trace_sum(group: FiniteGroup, values, elements) -> object:
     """T_k evaluated through the table: sum over S_k of sign times the product
     of t(cycle products)."""
-    k = len(elements)
     total = None
-    for sign, cycles in _perm_cycle_data(k):
+    for sign, cycles in permutation_cycles(len(elements)):
         term = Fraction(sign)
         for cyc in cycles:
-            prod = elements[cyc[0]]
+            prod = elements[cyc[0] - 1]
             for idx in cyc[1:]:
-                prod = group.mult(prod, elements[idx])
+                prod = group.mult(prod, elements[idx - 1])
             term = term * values[prod]
         total = term if total is None else total + term
     return total
@@ -260,6 +260,44 @@ def _recursive_trace_sum(group: FiniteGroup, values, elements, memo: dict,
     return memo[top]
 
 
+def _level_trace_sums(group: FiniteGroup, values, size: int):
+    """Yield ``(rest, x, T_size(rest + (x,)))`` for every multiset of
+    ``size`` elements, in ``combinations_with_replacement`` order.
+
+    ``values`` must be a class function.  The levels k = 1..size are filled
+    in turn, each multiset written as ``rest + (x,)`` with x >= max(rest).
+    By symmetry the recursion's terms for it are T_{k-1}(rest) and, for each
+    distinct y in rest with its count, T_{k-1} of rest with one y replaced
+    by yx.  A level's values are keyed by the code sum count(e) (size+1)^e,
+    so the code of rest with y replaced by yx is code(rest) - W[y] +
+    W[yx]; the multisets extending one rest are consecutive, and its
+    distinct elements, counts and code are read once for all of them.
+    """
+    order, table = group.order, group.table
+    weight = [(size + 1) ** e for e in range(order)]
+    product_weight = [[weight[z] for z in row] for row in table]  # W[yx]
+    level, memo = [((), 0)], {0: 1}
+    for k in range(1, size + 1):
+        top = k == size
+        next_level, next_memo = [], {}
+        for rest, code in level:
+            t_rest = memo[code]
+            terms = [(rest.count(y), code - weight[y], product_weight[y])
+                     for y in dict.fromkeys(rest)]
+            for x in range(rest[-1] if rest else 0, order):
+                value = values[x] * t_rest
+                for count, base, row in terms:
+                    child = memo[base + row[x]]
+                    # no multiplication by 1, which costs a full product on Cyc
+                    value -= child if count == 1 else count * child
+                if top:
+                    yield rest, x, value
+                else:
+                    next_memo[code + weight[x]] = value
+                    next_level.append((rest + (x,), code + weight[x]))
+        level, memo = next_level, next_memo
+
+
 def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
                           sample_size: int = 20000, seed: int = 0) -> PseudoCheckReport:
     """Verify the three degree-n axioms, reporting first witnesses.
@@ -270,13 +308,17 @@ def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
     is the least one; larger inputs fall back to a clearly labeled random
     sample.  The scan stops at the first multiset where T_{n+1} is nonzero.
 
-    T_{n+1} comes from ``_recursive_trace_sum`` with one memo for the whole
-    scan, and ``memo_states`` counts the T_k values it stored.  When axiom 2
-    holds, t is a class function and the memo is keyed on sorted multisets;
-    when it fails, a sorted key would be unsound, so the memo is keyed on the
-    tuples as given.  The recursion equals ``multilinear_trace_sum`` on every
-    table, so the verdicts, counts and witnesses are those of the
-    permutation sum.
+    When axiom 2 holds and the scan is exhaustive, T_{n+1} comes from
+    ``_level_trace_sums``, which fills every level below the top before it
+    reaches the first multiset of size n+1; ``memo_states`` counts those
+    levels, the empty multiset included, and the top multisets scanned, so
+    a pass has C(order + n + 1, n + 1).  Otherwise T_{n+1} comes from
+    ``_recursive_trace_sum`` with one memo for the whole scan, and
+    ``memo_states`` counts the T_k values it stored: a sample reaches only
+    a few multisets of each level, and when axiom 2 fails a sorted key would
+    be unsound, so that memo is keyed on the tuples as given.  Both equal
+    ``multilinear_trace_sum`` on every table they accept, so the verdicts,
+    counts and witnesses are those of the permutation sum.
     """
     g, n, values = p.group, p.degree, p.values
     if n < 0:
@@ -297,26 +339,32 @@ def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
         if not report.axiom2_ok:
             break
 
-    n_multisets = 1
-    for i in range(n + 1):
-        n_multisets = n_multisets * (g.order + i) // (i + 1)
-    if n_multisets > max_exhaustive:
-        report.exhaustive = False
-        rng = random.Random(seed)
-        candidates = (tuple(sorted(rng.randrange(g.order) for _ in range(n + 1)))
-                      for _ in range(sample_size))
-    else:
-        candidates = combinations_with_replacement(range(g.order), n + 1)
-    memo = {}
     # integral values as int: the recursion's sums then avoid Fraction
     values = [exact(v) if isinstance(v, (int, Fraction)) else v for v in values]
-    for elems in candidates:
-        report.tuples_checked += 1
-        if _recursive_trace_sum(g, values, elems, memo, report.axiom2_ok) != 0:
-            report.axiom3_ok = False
-            report.axiom3_witness = elems
-            break
-    report.memo_states = len(memo)
+    report.exhaustive = comb(g.order + n, n + 1) <= max_exhaustive
+    if report.exhaustive and report.axiom2_ok:
+        for rest, x, value in _level_trace_sums(g, values, n + 1):
+            report.tuples_checked += 1
+            if value != 0:
+                report.axiom3_ok = False
+                report.axiom3_witness = rest + (x,)
+                break
+        report.memo_states = comb(g.order + n, n) + report.tuples_checked
+    else:
+        if report.exhaustive:
+            candidates = combinations_with_replacement(range(g.order), n + 1)
+        else:
+            rng = random.Random(seed)
+            candidates = (tuple(sorted(rng.randrange(g.order) for _ in range(n + 1)))
+                          for _ in range(sample_size))
+        memo = {}
+        for elems in candidates:
+            report.tuples_checked += 1
+            if _recursive_trace_sum(g, values, elems, memo, report.axiom2_ok) != 0:
+                report.axiom3_ok = False
+                report.axiom3_witness = elems
+                break
+        report.memo_states = len(memo)
 
     report.passed = report.axiom1_ok and report.axiom2_ok and report.axiom3_ok
     return report

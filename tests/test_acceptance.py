@@ -241,5 +241,6 @@ def test_criterion_10_d6_degree_5_scan():
     rep = check_pseudocharacter(PseudoCharTable(d6, 5, values))
     assert rep.passed and rep.exhaustive
     assert rep.tuples_checked == comb(17, 6) == 12376
+    assert rep.memo_states == comb(18, 6) == 18564
     report(10, f"D6 degree-5 pseudocharacter: all {rep.tuples_checked} multisets, "
                f"{rep.memo_states} memo states", budget.check("criterion 10"))

@@ -378,7 +378,7 @@ class TestPseudocharCommand:
                                       "--group", str(group_path),
                                       "--char", str(char_path)])
         assert result.exit_code == 0
-        assert "pass" in result.output and "exhaustive" in result.output
+        assert result.output == "pass: degree-2 pseudocharacter (exhaustive, 4 tuples)\n"
 
     def test_fail_with_witness(self, runner, tmp_path):
         group_path = tmp_path / "c2.json"
@@ -389,7 +389,7 @@ class TestPseudocharCommand:
                                       "--group", str(group_path),
                                       "--char", str(char_path)])
         assert result.exit_code == 1
-        assert "tuple" in result.output
+        assert result.output == "fail: alternating trace sum is nonzero on tuple (1, 1, 1)\n"
 
     def test_s3_character(self, runner, tmp_path):
         group_path = tmp_path / "s3.json"

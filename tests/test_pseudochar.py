@@ -4,7 +4,8 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,15 +16,18 @@ from tracealg.characters import (_char_sort_key, _generating_sequence,
                                  commutator_subgroup, conjugacy_classes,
                                  induced_character, inner_product,
                                  linear_characters_abelian, quotient_group)
+from tracealg.chident import permutation_cycles
 from tracealg.cyclotomic import Cyc
 from tracealg.findim import ch_degree, trace_kernel
 from tracealg.pseudochar import (FiniteGroup, GroupValidationError,
                                  PseudoCharTable, PseudoCheckReport,
-                                 _recursive_trace_sum, check_pseudocharacter,
+                                 _level_trace_sums, _recursive_trace_sum,
+                                 check_pseudocharacter,
                                  cyclic_group, dihedral_group, direct_product,
                                  group_algebra, klein_four_group, make_group,
                                  multilinear_trace_sum, pseudochar_kernel,
                                  quaternion_group, symmetric_group_3)
+from tracealg.sparse import exact
 
 
 def all_groups_up_to_8():
@@ -276,6 +280,53 @@ def test_cyc_repr_and_hash_read_the_coefficients_as_fractions():
     assert (half + half) == z and hash(half + half) == hash(z)
 
 
+@lru_cache(maxsize=None)
+def _collected_permutation_sums(group, size):
+    """Each tuple of ``combinations_with_replacement`` order with the terms of
+    its permutation sum collected: (summed sign, sorted cycle products)."""
+    perms = list(permutation_cycles(size))
+    out = []
+    for elems in combinations_with_replacement(range(group.order), size):
+        terms = Counter()
+        for sign, cycles in perms:
+            products = []
+            for cyc in cycles:
+                prod = elems[cyc[0] - 1]
+                for idx in cyc[1:]:
+                    prod = group.mult(prod, elems[idx - 1])
+                products.append(prod)
+            terms[tuple(sorted(products))] += sign
+        out.append((elems, [(sign, products) for products, sign in terms.items() if sign]))
+    return out
+
+
+def _permutation_sums(group, values, size):
+    """``multilinear_trace_sum`` on every tuple of ``combinations_with_replacement``
+    order, from the collected terms, each product of values taken once."""
+    values = [exact(v) if isinstance(v, Fraction) else v for v in values]
+    products = {}
+    for elems, terms in _collected_permutation_sums(group, size):
+        total = 0
+        for sign, cycle_products in terms:
+            prod = products.get(cycle_products)
+            if prod is None:
+                prod = 1
+                for z in cycle_products:
+                    prod = prod * values[z]
+                products[cycle_products] = prod
+            total = total + sign * prod
+        yield elems, total
+
+
+def test_collected_permutation_sums_match_multilinear_trace_sum():
+    rng = random.Random(3)
+    for group in (symmetric_group_3(), dihedral_group(4), quaternion_group()):
+        values = [rng.randint(-3, 3) for _ in range(group.order)]  # not a class function
+        for size in range(5):
+            for elems, total in _permutation_sums(group, values, size):
+                assert total == multilinear_trace_sum(group, values, elems), elems
+
+
 def _reference_report(p):
     """The scan as a plain permutation sum over every multiset in order."""
     g, n, values = p.group, p.degree, p.values
@@ -287,9 +338,9 @@ def _reference_report(p):
         ((a, b) for a in range(g.order) for b in range(a + 1, g.order)
          if values[g.mult(a, b)] != values[g.mult(b, a)]), None)
     report.axiom2_ok = report.axiom2_witness is None
-    for elems in combinations_with_replacement(range(g.order), n + 1):
+    for elems, total in _permutation_sums(g, values, n + 1):
         report.tuples_checked += 1
-        if multilinear_trace_sum(g, values, elems) != 0:
+        if total != 0:
             report.axiom3_ok, report.axiom3_witness = False, elems
             break
     report.passed = report.axiom1_ok and report.axiom2_ok and report.axiom3_ok
@@ -308,14 +359,31 @@ def _characters_and_perturbations(group):
                 yield PseudoCharTable(group, n, tuple(values))
 
 
+def _class_functions_up_to_degree_4(group):
+    """Each character plus j times the trivial one, up to degree 4, and each
+    of those with a central value raised by 1, which fails axiom 1 or 3."""
+    central = [z for z in range(group.order)
+               if all(group.mult(z, a) == group.mult(a, z) for a in range(group.order))]
+    for chi in character_table(group):
+        for n in range(char_degree(group, chi), 5):
+            values = tuple(v + n - char_degree(group, chi) for v in chi)
+            yield PseudoCharTable(group, n, values)
+            for z in central:
+                yield PseudoCharTable(group, n, values[:z] + (values[z] + 1,) + values[z + 1:])
+
+
 class TestRecursiveScan:
     def test_reports_equal_the_permutation_scan(self):
         for name, group in all_groups_up_to_8().items():
-            for p in _characters_and_perturbations(group):
+            for p in chain(_characters_and_perturbations(group),
+                           _class_functions_up_to_degree_4(group)):
                 report = check_pseudocharacter(p)
                 assert replace(report, memo_states=0) == _reference_report(p), (name, p.values)
                 # every scan goes through the memo, class function or not
                 assert report.tuples_checked and report.memo_states > 0, (name, p.values)
+                if report.passed:  # every multiset of size <= n+1, the empty one included
+                    assert report.memo_states == comb(group.order + p.degree + 1,
+                                                      p.degree + 1), (name, p.values)
 
     def test_int_values_match_fractions(self):
         for name, group in all_groups_up_to_8().items():
@@ -327,6 +395,23 @@ class TestRecursiveScan:
                 sampled = dict(max_exhaustive=1, sample_size=40, seed=7)
                 assert check_pseudocharacter(ints, **sampled) == \
                     check_pseudocharacter(p, **sampled), (name, p.values)
+
+    def test_level_walk_values_equal_the_depth_first_recursion(self):
+        for group in (dihedral_group(4), quaternion_group(), symmetric_group_3()):
+            for values in chain.from_iterable((chi, [v + 1 for v in chi])
+                                              for chi in character_table(group)):
+                for k in (1, 2, 3):  # every level of a degree-2 scan
+                    got = [(rest + (x,), value)
+                           for rest, x, value in _level_trace_sums(group, values, k)]
+                    assert [elems for elems, _ in got] == \
+                        list(combinations_with_replacement(range(group.order), k))
+                    for elems, value in got:
+                        assert value == _recursive_trace_sum(group, values, elems, {},
+                                                             class_function=True), elems
+
+    def test_degree_0(self):
+        report = check_pseudocharacter(PseudoCharTable(dihedral_group(6), 0, (0,) * 12))
+        assert report.passed and report.tuples_checked == 12 and report.memo_states == 13
 
     def test_d6_degree_4_memo_states(self):
         # every multiset of at most 5 of the 12 elements, the empty one included
