@@ -256,9 +256,10 @@ def check(group_path, char_path, seed):
     sys.exit(1)
 
 
-# the discriminant of the generic degree-n polynomial and its check take
-# 0.4-1.3 s at n = 7, and 6-18 s and 0.3-0.5 GB at n = 8 (Python 3.11.7, 2 cores)
-ONEVAR_MAX_WEIGHT = 7
+# the model, the discriminant of the generic degree-n polynomial and its
+# kernel-vector check take 0.11-0.19 s and under 30 MB at n = 8, and 0.9-1.2 s
+# and 73-78 MB at n = 9 (Python 3.11.7, 2 cores)
+ONEVAR_MAX_WEIGHT = 8
 # strata --poset json takes about 1.2 s and 62 MB at n = 16 and 2.3 s and
 # 126 MB at n = 18; the type count grows about 1.5x per step (3186 types at
 # n = 16, 6959 at n = 18; Python 3.11.7, 2 cores)

@@ -10,10 +10,12 @@ are multiplied and a common factor is multiplied once (see ``evaluate``).
 Random rational search is only an accelerator for finding counterexamples;
 a witness is returned only when its exact evaluation is nonzero.
 
-The discriminant relation of a one-variable diagonal model is checked in
-elementary-symmetric coordinates: every eigenvalue but one of the most
-repeated enters only through their elementary symmetric functions (see
-``discriminant_relation``).
+The discriminant of a one-variable diagonal model is the determinant of
+the n x n Bezout matrix of its characteristic polynomial and that
+polynomial's derivative.  Its vanishing on the model is certified by one
+kernel vector of the same matrix built in elementary-symmetric coordinates,
+where every eigenvalue but one of the most repeated enters only through
+their elementary symmetric functions (see ``discriminant_relation``).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .freetrace import TracePoly
-from .mpoly import MPoly, PolyMatrix, resultant
+from .mpoly import MPoly, PolyMatrix, determinant
 from .sparse import add_terms
 
 
@@ -292,20 +294,52 @@ def _verify_two_eigenvalue_model(model: DiagonalModel) -> None:
             raise AssertionError("scaled minimal polynomial does not vanish on the model")
 
 
+def _bezout_matrix(h: list) -> list:
+    """The n x n Bezout matrix of h and h', h listed lowest degree first.
+
+    Entry (i, j) is the coefficient of x^i y^j in
+    (h(x) h'(y) - h(y) h'(x)) / (x - y): with g = h', for p > q the term
+    (h_p g_q - h_q g_p)(x^p y^q - x^q y^p) contributes x^q y^q times
+    x^(p-q-1) + x^(p-q-2) y + ... + y^(p-q-1), one unit to each entry
+    (q + r, p - 1 - r) with 0 <= r < p - q.  Each pair's coefficient is
+    multiplied once and added to its p - q entries.
+    """
+    n = len(h) - 1
+    g = [(i + 1) * h[i + 1] for i in range(n)] + [MPoly.zero()]
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for p in range(1, n + 1):
+        for q in range(p):
+            c = {}
+            MPoly.add_product(c, h[p], g[q])
+            MPoly.add_product(c, h[q], g[p], -1)
+            if c:
+                for r in range(p - q):
+                    add_terms(rows[q + r][p - 1 - r], c.items())
+    return [[MPoly._wrap(e) for e in row] for row in rows]
+
+
+def _monic_coefficients(a: list) -> list:
+    """t^n - a_1 t^(n-1) + a_2 t^(n-2) - ... lowest degree first."""
+    n = len(a)
+    return [a[n - 1 - i] if (n - i) % 2 == 0 else -a[n - 1 - i]
+            for i in range(n)] + [MPoly.one()]
+
+
 def generic_discriminant(n: int) -> MPoly:
     """Discriminant of t^n - a1 t^{n-1} + a2 t^{n-2} - ... in symbols a1..an.
 
-    Computed as (-1)^(n(n-1)/2) times the resultant of the polynomial and its
-    t-derivative (the polynomial is monic).
+    Computed as the determinant of the n x n Bezout matrix of the
+    polynomial h and its t-derivative (``_bezout_matrix``).  Since h is
+    monic of degree n and h' has degree n - 1, that determinant is
+    (-1)^(n(n-1)/2) Res(h, h'), which is the discriminant; the tests check
+    the sign against the Sylvester resultant for n = 2..7.  The
+    determinant's Laplace memo has 2^n column subsets, against 2^(2n-1)
+    for the (2n-1) x (2n-1) Sylvester matrix.
     """
     if n < 2:
         raise ValueError("discriminant needs degree >= 2")
-    h = [MPoly.const(1)]
-    for j in range(1, n + 1):
-        h.append(Fraction((-1) ** j) * MPoly.var(f"a{j}"))
-    hp = [Fraction(n - i) * h[i] for i in range(n)]
-    res = resultant(h, hp)
-    return (Fraction((-1) ** (n * (n - 1) // 2)) * res).primitive()
+    a = [MPoly.var(f"a{j}") for j in range(1, n + 1)]
+    return determinant(_bezout_matrix(_monic_coefficients(a))).primitive()
 
 
 def repeated_root_coordinates(n: int, m: int) -> tuple:
@@ -327,17 +361,24 @@ def discriminant_relation(multiplicities) -> MPoly:
     """A nonzero polynomial relation among the characteristic coefficients.
 
     The discriminant of the generic degree-n characteristic polynomial
-    vanishes identically once some eigenvalue is repeated; the result is in
-    the symbols a1..an, reduced to primitive integer-coefficient form.
+    vanishes identically once some eigenvalue is repeated; the result is
+    ``generic_discriminant(n)``, in the symbols a1..an, reduced to
+    primitive integer-coefficient form.
 
-    Its vanishing is checked before returning, in
+    Its vanishing is certified before returning by one kernel vector, in
     ``repeated_root_coordinates(n, m)`` with m the largest multiplicity
-    rather than in the eigenvalues: each a_j is linear in the f_i, where
-    e_j has degree j in the x_i, so the substituted discriminant is far
-    smaller.  The model of any multiplicities with largest m is a
-    specialization of those coordinates (f_i = e_i of the other eigenvalues,
-    repeats included), so vanishing there certifies vanishing on the model,
-    and for multiplicities (1, ..., 1, m) the two checks are equivalent.
+    rather than in the eigenvalues.  There y is a root of h of multiplicity
+    m >= 2, so h(y) = h'(y) = 0.  With B(c) the Bezout matrix built from
+    those coordinates c, row i of B(c) (1, y, ..., y^(n-1)) is the x^i
+    coefficient of (h(x) h'(y) - h(y) h'(x)) / (x - y), which is then zero;
+    that product is checked to be zero exactly in Q[f, y].  The
+    vector's first entry is 1 and Q[f, y] is an integral domain, so
+    det B(c) = 0; the determinant is a polynomial in the entries, so
+    det B(c) is the discriminant at c.  The model of any multiplicities with
+    largest m is a specialization of those coordinates (f_i = e_i of the
+    other eigenvalues, repeats included), so vanishing there certifies
+    vanishing on the model.  The certificate trusts ``determinant``, which
+    the tests compare with rational elimination.
     """
     mults = tuple(int(a) for a in multiplicities)
     if all(a == 1 for a in mults):
@@ -345,9 +386,15 @@ def discriminant_relation(multiplicities) -> MPoly:
     if any(a < 1 for a in mults):
         raise ValueError("multiplicities must be positive integers")
     n = sum(mults)
-    disc = generic_discriminant(n)
     coords = repeated_root_coordinates(n, max(mults))
-    substitution = {f"a{j}": coords[j - 1] for j in range(1, n + 1)}
-    if not disc.substitute(substitution).is_zero():
-        raise AssertionError("discriminant did not vanish under the model substitution")
-    return disc
+    y = MPoly.var("y")
+    powers = [y ** j for j in range(n)]
+    for row in _bezout_matrix(_monic_coefficients(list(coords))):
+        acc = {}
+        for entry, power in zip(row, powers):
+            if entry.terms:
+                MPoly.add_product(acc, entry, power)
+        if acc:
+            raise AssertionError("(1, y, ..., y^(n-1)) is not a kernel vector of the "
+                                 "Bezout matrix at the repeated-root coordinates")
+    return generic_discriminant(n)

@@ -280,8 +280,9 @@ class PolyMatrix:
 def determinant(rows) -> MPoly:
     """Determinant of a square array of MPoly via Laplace expansion.
 
-    Memoized on column subsets; fine up to ~10x10, which covers every
-    Sylvester matrix used here.
+    Memoized on column subsets, so an n x n matrix has at most 2^n minors;
+    fine up to ~10x10, which covers the n x n Bezout matrices of the
+    discriminants (n <= 8 from the CLI).
     """
     n = len(rows)
     rows = [[PolyMatrix._entry(x) for x in row] for row in rows]
@@ -310,21 +311,3 @@ def determinant(rows) -> MPoly:
 
     return minor(0, full)
 
-
-def resultant(p_coeffs, q_coeffs) -> MPoly:
-    """Resultant of two univariate polynomials given by coefficient lists.
-
-    Coefficient lists are highest degree first, entries MPoly or scalars.
-    """
-    p = [PolyMatrix._entry(x) for x in p_coeffs]
-    q = [PolyMatrix._entry(x) for x in q_coeffs]
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp < 1 or dq < 0:
-        raise ValueError("resultant needs deg p >= 1")
-    n = dp + dq
-    rows = []
-    for i in range(dq):
-        rows.append([MPoly.zero()] * i + p + [MPoly.zero()] * (n - i - dp - 1))
-    for i in range(dp):
-        rows.append([MPoly.zero()] * i + q + [MPoly.zero()] * (n - i - dq - 1))
-    return determinant(rows)

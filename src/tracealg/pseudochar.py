@@ -332,7 +332,8 @@ def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
 
     for a in range(g.order):
         for b in range(a + 1, g.order):
-            if values[g.mult(a, b)] != values[g.mult(b, a)]:
+            ab, ba = g.mult(a, b), g.mult(b, a)
+            if ab != ba and values[ab] != values[ba]:
                 report.axiom2_ok = False
                 report.axiom2_witness = (a, b)
                 break

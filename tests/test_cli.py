@@ -560,18 +560,18 @@ class TestOnevar:
         assert result.exit_code == 2
 
     def test_weights_at_the_bound_run(self, runner):
-        result = runner.invoke(main, ["onevar", "--weights", "1,6"])
+        result = runner.invoke(main, ["onevar", "--weights", "1,7"])
         assert result.exit_code == 0, result.output
-        assert result.output.startswith("n = 7; multiplicities (1, 6)")
+        assert result.output.startswith("n = 8; multiplicities (1, 7)")
         assert "coefficient relation (discriminant)" in result.output
 
-    @pytest.mark.parametrize("weights", ["1,7", "2,2,2,2", "1,1,1,1,1,1,1,1", "1000000"])
+    @pytest.mark.parametrize("weights", ["1,8", "2,2,2,3", "1,1,1,1,1,1,1,1,1", "1000000"])
     def test_weights_above_the_bound_are_refused_up_front(self, runner, weights):
         start = time.perf_counter()
         result = runner.invoke(main, ["onevar", "--weights", weights])
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
-        assert "above the bound 7" in result.output
+        assert "above the bound 8" in result.output
 
     def test_byte_stable(self, runner):
         a = runner.invoke(main, ["onevar", "--weights", "1,2"]).output

@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from tracealg import linalg
 from tracealg.chident import ch_multilinear, ch_poly, t_multilinear
 from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
-from tracealg.genmat import (diagonal_model, discriminant_relation, evaluate,
+from tracealg import genmat
+from tracealg.genmat import (_bezout_matrix, _monic_coefficients,
+                             diagonal_model, discriminant_relation, evaluate,
                              generic_assignment, generic_diagonal_matrix,
                              generic_discriminant, generic_matrix,
                              is_trace_identity, random_counterexample,
                              rational_matrix, repeated_root_coordinates)
-from tracealg.mpoly import MPoly, PolyMatrix
+from tracealg.mpoly import MPoly, PolyMatrix, determinant
 
 
 def reference_evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
@@ -444,3 +446,122 @@ class TestDiscriminantRelation:
         model = diagonal_model((1, 1, 1))
         subs = {f"a{j}": model.charpoly_coeffs[j - 1] for j in (1, 2, 3)}
         assert not disc.substitute(subs).is_zero()
+
+    def test_a_simple_root_fails_the_kernel_certificate(self, monkeypatch):
+        # coordinates of (1 + f_1 t + ... + f_{n-1} t^{n-1})(1 + y t): y is a
+        # root of h but not of h', so (1, y, ..., y^(n-1)) is no kernel vector
+        simple = repeated_root_coordinates
+        monkeypatch.setattr(genmat, "repeated_root_coordinates", lambda n, m: simple(n, 1))
+        for mults in [(2,), (1, 2), (2, 2), (1, 1, 3)]:
+            with pytest.raises(AssertionError, match="not a kernel vector"):
+                discriminant_relation(mults)
+
+
+def reference_resultant(p_coeffs, q_coeffs) -> MPoly:
+    """The oracle: the resultant of two univariate polynomials as the
+    determinant of their Sylvester matrix.  Coefficient lists are highest
+    degree first, entries MPoly or scalars."""
+    p = [PolyMatrix._entry(x) for x in p_coeffs]
+    q = [PolyMatrix._entry(x) for x in q_coeffs]
+    dp, dq = len(p) - 1, len(q) - 1
+    n = dp + dq
+    rows = []
+    for i in range(dq):
+        rows.append([MPoly.zero()] * i + p + [MPoly.zero()] * (n - i - dp - 1))
+    for i in range(dp):
+        rows.append([MPoly.zero()] * i + q + [MPoly.zero()] * (n - i - dq - 1))
+    return determinant(rows)
+
+
+def fraction_determinant(rows) -> Fraction:
+    """The oracle determinant: Gaussian elimination over Fraction, one sign
+    flip per row swap."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(mat), Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, n):
+            f = mat[i][c] / mat[c][c]
+            if f:
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+def _constant_rows(rows):
+    return [[e.constant_value() for e in row] for row in rows]
+
+
+class TestBezoutDiscriminant:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_the_signed_sylvester_resultant(self, n):
+        # h = t^n - a1 t^(n-1) + a2 t^(n-2) - ..., highest degree first
+        h = [MPoly.one()] + [(-1) ** j * MPoly.var(f"a{j}") for j in range(1, n + 1)]
+        hp = [(n - i) * h[i] for i in range(n)]
+        expected = ((-1) ** (n * (n - 1) // 2) * reference_resultant(h, hp)).primitive()
+        assert generic_discriminant(n) == expected
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_rows_are_the_bezoutian_coefficients(self, n):
+        # (x - y) * sum B[i][j] x^i y^j == h(x) h'(y) - h(y) h'(x)
+        a = [MPoly.var(f"a{j}") for j in range(1, n + 1)]
+        h = _monic_coefficients(a)
+        g = [(i + 1) * h[i + 1] for i in range(n)]
+        X, Y = MPoly.var("x"), MPoly.var("y")
+
+        def at(coeffs, t):
+            return MPoly.sum(c * t ** i for i, c in enumerate(coeffs))
+
+        rows = _bezout_matrix(h)
+        bezoutian = MPoly.sum(e * X ** i * Y ** j
+                              for i, row in enumerate(rows) for j, e in enumerate(row))
+        assert (X - Y) * bezoutian == at(h, X) * at(g, Y) - at(h, Y) * at(g, X)
+        assert all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+
+
+class TestDeterminantOracle:
+    """The kernel certificate of ``discriminant_relation`` trusts
+    ``determinant``; these compare it with Fraction elimination."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_integer_matrices(self, n):
+        rng = random.Random(n)
+        for trial in range(40):
+            span = 1 if trial % 2 else 5   # entries in -1..1 are often singular
+            rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 3 and n > 1:   # a row that is a sum of two others
+                rows[-1] = [x + y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+            det = determinant(rows).constant_value()
+            assert det == fraction_determinant(rows), rows
+            assert (linalg.rank(rows) < n) == (det == 0), rows
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bezout_matrices_at_integer_points(self, n):
+        rng = random.Random(100 + n)
+        disc = generic_discriminant(n)
+        for trial in range(12):
+            if trial % 3 == 2:
+                # a double root r: h = (t - r)^2 * (monic of degree n - 2)
+                r = rng.randint(-3, 3)
+                low = [rng.randint(-3, 3) for _ in range(n - 2)] + [1]
+                h = [0] * (n + 1)
+                for i, c in enumerate(low):
+                    for j, d in enumerate((r * r, -2 * r, 1)):
+                        h[i + j] += c * d
+                a = [h[n - j] * (-1) ** j for j in range(1, n + 1)]
+            else:
+                a = [rng.randint(-4, 4) for _ in range(n)]
+            rows = _constant_rows(_bezout_matrix(_monic_coefficients(
+                [MPoly.const(x) for x in a])))
+            det = determinant(rows).constant_value()
+            assert det == fraction_determinant(rows), a
+            assert (linalg.rank(rows) < n) == (det == 0), a
+            if trial % 3 == 2:
+                assert det == 0, a
+            point = {f"a{j}": x for j, x in enumerate(a, start=1)}
+            assert disc.evaluate(point) == det, a
