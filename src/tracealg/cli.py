@@ -16,7 +16,8 @@ from .findim import (AlgebraValidationError, ch_degree, ch_degree_multisets,
                      recover_weights, trace_kernel)
 from .freetrace import TracePoly, parse_trace_poly
 from .genrank import generic_algebra_rank
-from .pseudochar import GroupValidationError, check_pseudocharacter
+from .pseudochar import (SCAN_MAX_WORK, GroupValidationError,
+                         check_pseudocharacter)
 
 
 def _fail_usage(message: str):
@@ -227,9 +228,10 @@ def pseudochar_cmd():
 
 @pseudochar_cmd.command()
 @click.option("--group", "group_path", required=True, type=click.Path(exists=True))
-@click.option("--char", "char_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=0, show_default=True)
-def check(group_path, char_path, seed):
+@click.option("--char", "char_path", required=True, type=click.Path(exists=True),
+              help="Degree-n table; the scan is refused when its C(order + n + 1, "
+                   f"n + 1) memo states times n + 1 exceed {SCAN_MAX_WORK}.")
+def check(group_path, char_path):
     """Check the degree-n axioms; exit 1 with a witness on failure."""
     try:
         with open(group_path) as fh:
@@ -238,11 +240,13 @@ def check(group_path, char_path, seed):
             table = jsonio.load_pseudochar(fh, group)
     except (OSError, jsonio.InputFormatError, GroupValidationError) as exc:
         _fail_usage(str(exc))
-    report = check_pseudocharacter(table, seed=seed)
-    mode = "exhaustive" if report.exhaustive else "sampled (non-exhaustive)"
+    try:
+        report = check_pseudocharacter(table)
+    except ValueError as exc:  # above the scan's bound, before any level is filled
+        _fail_usage(str(exc))
     if report.passed:
         click.echo(f"pass: degree-{table.degree} pseudocharacter "
-                   f"({mode}, {report.tuples_checked} tuples)")
+                   f"(exhaustive, {report.tuples_checked} tuples)")
         sys.exit(0)
     if not report.axiom1_ok:
         click.echo(f"fail: t(identity) = {report.axiom1_witness}, "

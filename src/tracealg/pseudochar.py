@@ -15,26 +15,25 @@ pseudo-representation recursion of Taylor (1991) and Chenevier (2014),
                                       - sum_i T_k(x_1,..,x_i x_{k+1},..,x_k),
 
 which splits S_{k+1} by whether k+1 is fixed or follows i in its cycle.
-Each cycle product starts at its least index, which is k+1 only when k+1 is
-fixed, so the recursion holds for every table on ordered tuples.
 
 For a class function T_k is symmetric in its arguments, and every term of
 the recursion on a multiset of size k+1 is a value on a multiset of size k.
-The exhaustive scan of a class function therefore fills T_k level by level,
-k = 1..n+1, each level in ``combinations_with_replacement`` order and keyed
-by an integer code of the multiset (``_level_trace_sums``): every level is
-needed in full, and one level is all the next one reads.  A sampled scan
-reaches only a few multisets of each level, and a table that fails axiom 2
-is not symmetric, so both evaluate each tuple depth-first
-(``_recursive_trace_sum``), with a memo keyed on sorted multisets or on the
-ordered tuples as given.
+The scan therefore fills T_k level by level, k = 1..n+1, each level in
+``combinations_with_replacement`` order and keyed by an integer code of the
+multiset (``_level_trace_sums``): every level is needed in full, and one
+level is all the next one reads.  It is the only scan, and ``SCAN_MAX_WORK``
+bounds it before it fills any level.
+
+A table with t(ab) != t(ba) for some a, b fails axiom 2 and is not scanned.
+Its T_k is not symmetric, and a cycle product's value depends on the index
+it starts from: ``multilinear_trace_sum`` starts each at its least index,
+which is a convention, not an invariant of the table.  Taylor's definition
+presumes t(ab) = t(ba), so the tuple axiom has no meaning there.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb
 
 from .chident import permutation_cycles
@@ -193,7 +192,7 @@ class PseudoCheckReport:
     axiom1_witness: object = None
     axiom2_witness: object = None   # (a, b) with t(ab) != t(ba)
     axiom3_witness: object = None   # least tuple where T_{n+1} != 0
-    exhaustive: bool = True
+    exhaustive: bool = True         # every multiset is scanned; always True
     tuples_checked: int = 0
     memo_states: int = 0            # T_k values the scan stored, T_0 included
 
@@ -211,53 +210,6 @@ def multilinear_trace_sum(group: FiniteGroup, values, elements) -> object:
             term = term * values[prod]
         total = term if total is None else total + term
     return total
-
-
-def _recursive_trace_sum(group: FiniteGroup, values, elements, memo: dict,
-                         class_function: bool):
-    """T_k on ``elements`` by the recursion; equals ``multilinear_trace_sum``.
-
-    ``memo`` maps tuples to T_k values and is filled as a side effect; pass
-    the same dict, with the same ``class_function``, to share work between
-    calls on the same table.  For a class function ``values`` the keys are
-    sorted tuples and equal elements are expanded once, with their
-    multiplicity; otherwise the keys are the tuples in the order given.  The
-    recursion runs on an explicit stack, so its depth is not bounded by
-    Python's recursion limit.
-    """
-    table = group.table
-    memo.setdefault((), 1)
-    top = tuple(sorted(elements)) if class_function else tuple(elements)
-    stack = [(top, None)]
-    while stack:
-        key, merged = stack.pop()
-        if merged is None:
-            if key in memo:
-                continue
-            if len(key) == 1:
-                memo[key] = values[key[0]]
-                continue
-            # T(key) = t(x) T(rest) - sum_i T(rest with rest[i] replaced by
-            # rest[i] x)
-            rest, x = key[:-1], key[-1]
-            merged = []
-            for i, y in enumerate(rest):
-                if not class_function:
-                    merged.append((1, rest[:i] + (table[y][x],) + rest[i + 1:]))
-                elif not (i and rest[i - 1] == y):
-                    # equal elements of a sorted rest give equal terms
-                    child = tuple(sorted(rest[:i] + rest[i + 1:] + (table[y][x],)))
-                    merged.append((rest.count(y), child))
-            stack.append((key, merged))
-            stack.extend((child, None) for child in [rest] + [c for _, c in merged]
-                         if child not in memo)
-        else:
-            value = values[key[-1]] * memo[key[:-1]]
-            for count, child in merged:
-                # no multiplication by 1, which costs a full product on Cyc
-                value -= memo[child] if count == 1 else count * memo[child]
-            memo[key] = value
-    return memo[top]
 
 
 def _level_trace_sums(group: FiniteGroup, values, size: int):
@@ -298,27 +250,41 @@ def _level_trace_sums(group: FiniteGroup, values, size: int):
         level, memo = next_level, next_memo
 
 
-def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
-                          sample_size: int = 20000, seed: int = 0) -> PseudoCheckReport:
+# A pass of the scan fills C(order + n + 1, n + 1) memo states, and each
+# costs time growing with n, so the scan is refused when that count times
+# n + 1 is above the bound.  Passes measured (Python 3.11.7, 2 cores):
+#
+#   table                               memo states   times n+1   time
+#   D6, sum of its characters, n = 8         293930     2645370   0.93-1.05 s
+#   C12, 8 linear characters (Cyc), n = 8    293930     2645370   5.8-6.9 s
+#   C3, 20 times the regular (Cyc), n = 60    41664     2541504   0.56-0.65 s
+#   C1, n = 1500                               1502     2254502   0.04 s
+#
+# D6 at n = 9 (646646 states, 6466460) is refused, and so is C2 at n = 770
+# (298378 states, 230049438), where a pass takes 11.4 s.
+SCAN_MAX_WORK = 3_000_000
+
+
+def check_pseudocharacter(p: PseudoCharTable) -> PseudoCheckReport:
     """Verify the three degree-n axioms, reporting first witnesses.
 
-    The tuple axiom is checked exhaustively whenever the number of basis
-    multisets fits the budget (the sum is symmetric and multilinear, so
-    multisets decide all tuples), in lexicographic order so that the witness
-    is the least one; larger inputs fall back to a clearly labeled random
-    sample.  The scan stops at the first multiset where T_{n+1} is nonzero.
+    When axiom 2 holds, the tuple axiom is checked on every multiset of n+1
+    elements (T_{n+1} is symmetric and multilinear, so multisets decide all
+    tuples) in ``combinations_with_replacement`` order, so that the witness
+    is the least one, and the scan stops at the first multiset where
+    T_{n+1} is nonzero.  ``_level_trace_sums`` fills every level below the
+    top before it reaches the first multiset of size n+1; ``memo_states``
+    counts those levels, the empty multiset included, and the top multisets
+    scanned, so a pass has C(order + n + 1, n + 1).  The verdict, counts
+    and witness are those of the permutation sum ``multilinear_trace_sum``,
+    and ``exhaustive`` is always True.
 
-    When axiom 2 holds and the scan is exhaustive, T_{n+1} comes from
-    ``_level_trace_sums``, which fills every level below the top before it
-    reaches the first multiset of size n+1; ``memo_states`` counts those
-    levels, the empty multiset included, and the top multisets scanned, so
-    a pass has C(order + n + 1, n + 1).  Otherwise T_{n+1} comes from
-    ``_recursive_trace_sum`` with one memo for the whole scan, and
-    ``memo_states`` counts the T_k values it stored: a sample reaches only
-    a few multisets of each level, and when axiom 2 fails a sorted key would
-    be unsound, so that memo is keyed on the tuples as given.  Both equal
-    ``multilinear_trace_sum`` on every table they accept, so the verdicts,
-    counts and witnesses are those of the permutation sum.
+    Before any level is filled, the check raises ``ValueError`` naming the
+    count when C(order + n + 1, n + 1) times n + 1 is above
+    ``SCAN_MAX_WORK``.  When axiom 2 fails nothing is scanned or refused
+    (see the module docstring): ``axiom3_ok`` stays True, read as "no
+    violation evaluated", ``axiom3_witness`` is None, and ``tuples_checked``
+    and ``memo_states`` are 0.
     """
     g, n, values = p.group, p.degree, p.values
     if n < 0:
@@ -340,10 +306,15 @@ def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
         if not report.axiom2_ok:
             break
 
-    # integral values as int: the recursion's sums then avoid Fraction
-    values = [exact(v) if isinstance(v, (int, Fraction)) else v for v in values]
-    report.exhaustive = comb(g.order + n, n + 1) <= max_exhaustive
-    if report.exhaustive and report.axiom2_ok:
+    if report.axiom2_ok:
+        states = comb(g.order + n + 1, n + 1)
+        if states * (n + 1) > SCAN_MAX_WORK:
+            raise ValueError(
+                f"the degree-{n} scan over {g.order} elements would fill {states} memo "
+                f"states, and {states} x {n + 1} = {states * (n + 1)} is above the "
+                f"bound {SCAN_MAX_WORK}")
+        # integral values as int: the recursion's sums then avoid Fraction
+        values = [exact(v) if isinstance(v, (int, Fraction)) else v for v in values]
         for rest, x, value in _level_trace_sums(g, values, n + 1):
             report.tuples_checked += 1
             if value != 0:
@@ -351,21 +322,6 @@ def check_pseudocharacter(p: PseudoCharTable, max_exhaustive: int = 300000,
                 report.axiom3_witness = rest + (x,)
                 break
         report.memo_states = comb(g.order + n, n) + report.tuples_checked
-    else:
-        if report.exhaustive:
-            candidates = combinations_with_replacement(range(g.order), n + 1)
-        else:
-            rng = random.Random(seed)
-            candidates = (tuple(sorted(rng.randrange(g.order) for _ in range(n + 1)))
-                          for _ in range(sample_size))
-        memo = {}
-        for elems in candidates:
-            report.tuples_checked += 1
-            if _recursive_trace_sum(g, values, elems, memo, report.axiom2_ok) != 0:
-                report.axiom3_ok = False
-                report.axiom3_witness = elems
-                break
-        report.memo_states = len(memo)
 
     report.passed = report.axiom1_ok and report.axiom2_ok and report.axiom3_ok
     return report
@@ -395,8 +351,9 @@ def group_algebra(p: PseudoCharTable) -> TraceAlgebra:
 def pseudochar_kernel(p: PseudoCharTable):
     """Kernel of the induced trace form on Q[G] and the quotient algebra.
 
-    Requires the table to pass check_pseudocharacter; the quotient is
-    asserted to have trace degree equal to the table degree.
+    Requires the table to pass check_pseudocharacter, whose ValueError
+    above ``SCAN_MAX_WORK`` it passes on; the quotient is asserted to have
+    trace degree equal to the table degree.
     """
     report = check_pseudocharacter(p)
     if not report.passed:

@@ -19,7 +19,8 @@ from tracealg.cli import (CHDEG_MAX_MULTISETS, CHPOLY_MAX_N, STRATA_MAX_N,
 from tracealg.freetrace import MAX_NESTING
 from tracealg.findim import weighted_semisimple
 from tracealg.jsonio import dump_algebra, dump_group
-from tracealg.pseudochar import cyclic_group, dihedral_group, symmetric_group_3
+from tracealg.pseudochar import (SCAN_MAX_WORK, cyclic_group, dihedral_group,
+                                 symmetric_group_3)
 
 
 @pytest.fixture
@@ -419,6 +420,48 @@ class TestPseudocharCommand:
         assert result.exit_code == 0
         assert result.output == \
             "pass: degree-5 pseudocharacter (exhaustive, 12376 tuples)\n"
+
+    def test_d6_degree_8_under_the_bound(self, runner, tmp_path):
+        # the sum of the irreducible characters: C(21, 9) = 293930 memo states
+        # times 9 is 2645370, about 1 s
+        d6 = dihedral_group(6)
+        values = [str(sum(column)) for column in zip(*character_table(d6))]
+        argv = _pseudochar_argv(json.loads(dump_group(d6)), {"n": 8, "values": values})
+        result = runner.invoke(main, argv(tmp_path))
+        assert result.exit_code == 0
+        assert result.output == \
+            "pass: degree-8 pseudocharacter (exhaustive, 167960 tuples)\n"
+
+    @pytest.mark.parametrize("group, n, states", [
+        (dihedral_group(6), 9, 646646), (cyclic_group(2), 770, 298378),
+        (cyclic_group(2), 1000000, 500002500003)])
+    def test_above_the_bound_exits_2_at_once(self, runner, tmp_path, group, n, states):
+        argv = _pseudochar_argv(json.loads(dump_group(group)),
+                                {"n": n, "values": [str(n)] * group.order})
+        start = time.perf_counter()
+        result = runner.invoke(main, argv(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: the degree-{n} scan over {group.order} elements would fill {states} "
+            f"memo states, and {states} x {n + 1} = {states * (n + 1)} is above the "
+            f"bound {SCAN_MAX_WORK}\n")
+
+    def test_noncentral_table_fails_axiom_2_only(self, runner, tmp_path):
+        # one rotation of S3 gets another value; the tuple axiom is not
+        # evaluated on a table that is not central
+        argv = _pseudochar_argv(json.loads(dump_group(symmetric_group_3())),
+                                {"n": 2, "values": ["2", "5", "0", "0", "0", "0"]})
+        result = runner.invoke(main, argv(tmp_path))
+        assert result.exit_code == 1
+        assert result.output == "fail: t(ab) != t(ba) for elements (3, 4)\n"
+
+    def test_help_names_the_bound(self, runner):
+        result = runner.invoke(main, ["pseudochar", "check", "--help"])
+        assert result.exit_code == 0
+        assert f"exceed {SCAN_MAX_WORK}" in result.output
+        assert "--seed" not in result.output  # nothing is sampled
 
     def test_wrong_value_count(self, runner, tmp_path):
         group_path = tmp_path / "c2.json"

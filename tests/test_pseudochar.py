@@ -10,7 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracealg import characters
+from tracealg import characters, pseudochar
 from tracealg.characters import (_char_sort_key, _generating_sequence,
                                  _sub_table, abelian_subgroups, character_table,
                                  commutator_subgroup, conjugacy_classes,
@@ -19,10 +19,9 @@ from tracealg.characters import (_char_sort_key, _generating_sequence,
 from tracealg.chident import permutation_cycles
 from tracealg.cyclotomic import Cyc
 from tracealg.findim import ch_degree, trace_kernel
-from tracealg.pseudochar import (FiniteGroup, GroupValidationError,
+from tracealg.pseudochar import (SCAN_MAX_WORK, FiniteGroup, GroupValidationError,
                                  PseudoCharTable, PseudoCheckReport,
-                                 _level_trace_sums, _recursive_trace_sum,
-                                 check_pseudocharacter,
+                                 _level_trace_sums, check_pseudocharacter,
                                  cyclic_group, dihedral_group, direct_product,
                                  group_algebra, klein_four_group, make_group,
                                  multilinear_trace_sum, pseudochar_kernel,
@@ -106,13 +105,29 @@ class TestCheckPseudocharacter:
         values = [Fraction(2)] + [Fraction(0)] * 5
         values[1] = Fraction(5)  # a single rotation gets a different value
         report = check_pseudocharacter(PseudoCharTable(s3, 2, tuple(values)))
-        assert not report.axiom2_ok
+        assert not report.axiom2_ok and report.axiom2_witness == (3, 4)
+        # the tuple axiom is not evaluated on a table that is not central
+        assert report.axiom3_ok and report.axiom3_witness is None
+        assert report.tuples_checked == report.memo_states == 0
 
-    def test_sampling_mode_is_labeled(self):
-        c2 = cyclic_group(2)
-        p = PseudoCharTable(c2, 2, (Fraction(2), Fraction(0)))
-        report = check_pseudocharacter(p, max_exhaustive=1, sample_size=50)
-        assert report.passed and not report.exhaustive
+    @pytest.mark.parametrize("group, n, states", [
+        (dihedral_group(6), 9, comb(22, 10)),          # 646646 memo states
+        (cyclic_group(2), 770, comb(773, 2)),          # 298378
+        (cyclic_group(2), 10 ** 6, comb(10 ** 6 + 3, 2)),
+    ])
+    def test_over_the_bound_is_refused_before_any_level(self, monkeypatch, group, n,
+                                                          states):
+        def no_scan(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(pseudochar, "_level_trace_sums", no_scan)
+        assert states * (n + 1) > SCAN_MAX_WORK
+        p = PseudoCharTable(group, n, (Fraction(n),) * group.order)
+        message = f"would fill {states} memo states, .* is above the bound {SCAN_MAX_WORK}$"
+        with pytest.raises(ValueError, match=message):
+            check_pseudocharacter(p)
+        with pytest.raises(ValueError, match=message):
+            pseudochar_kernel(p)
 
 
 class TestFrobeniusProperty:
@@ -177,34 +192,27 @@ def _character_rows(name):
 
 
 @st.composite
-def tables_and_tuples(draw):
-    """A group, a table and a few tuples of at most 5 elements.  The table is
-    an integer combination of the characters (Cyc-valued on C3, C4 and C5),
-    or on the non-abelian groups an arbitrary integer table, which is not a
-    class function; its tuples are then taken in the order drawn."""
+def class_functions_and_tuples(draw):
+    """A group, an integer combination of its characters (Cyc-valued on C3,
+    C4 and C5), a size k from 1 to 5 and a few tuples of k elements."""
     name = draw(st.sampled_from(sorted(ORACLE_GROUPS)))
     group, rows = ORACLE_GROUPS[name], _character_rows(name)
-    class_function = name in ("C3", "C4", "C5") or draw(st.booleans())
-    if class_function:
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-        values = tuple(sum((c * row[e] for c, row in zip(coeffs, rows)), Fraction(0))
-                       for e in range(group.order))
-    else:
-        values = tuple(draw(st.lists(st.integers(-3, 3), min_size=group.order,
-                                     max_size=group.order)))
-    tuples = draw(st.lists(st.lists(st.integers(0, group.order - 1), max_size=5),
-                           min_size=1, max_size=3))
-    return group, values, class_function, [tuple(t) for t in tuples]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    values = tuple(sum((c * row[e] for c, row in zip(coeffs, rows)), Fraction(0))
+                   for e in range(group.order))
+    size = draw(st.integers(1, 5))
+    tuples = draw(st.lists(st.lists(st.integers(0, group.order - 1), min_size=size,
+                                    max_size=size), min_size=1, max_size=3))
+    return group, values, size, [tuple(t) for t in tuples]
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables_and_tuples())
-def test_recursion_matches_permutation_sum(case):
-    group, values, class_function, tuples = case
-    memo = {}  # shared, as in one scan
-    for elements in tuples:
-        assert _recursive_trace_sum(group, values, elements, memo, class_function) == \
-            multilinear_trace_sum(group, values, elements)
+@given(class_functions_and_tuples())
+def test_level_walk_matches_permutation_sum(case):
+    group, values, size, tuples = case
+    level = {rest + (x,): value for rest, x, value in _level_trace_sums(group, values, size)}
+    for elements in tuples:  # T_k of a class function is symmetric
+        assert level[tuple(sorted(elements))] == multilinear_trace_sum(group, values, elements)
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -328,7 +336,8 @@ def test_collected_permutation_sums_match_multilinear_trace_sum():
 
 
 def _reference_report(p):
-    """The scan as a plain permutation sum over every multiset in order."""
+    """The scan as a plain permutation sum over every multiset in order; a
+    table that fails axiom 2 is not scanned."""
     g, n, values = p.group, p.degree, p.values
     report = PseudoCheckReport(passed=False, degree=n, axiom1_ok=True,
                                axiom2_ok=True, axiom3_ok=True)
@@ -338,11 +347,12 @@ def _reference_report(p):
         ((a, b) for a in range(g.order) for b in range(a + 1, g.order)
          if values[g.mult(a, b)] != values[g.mult(b, a)]), None)
     report.axiom2_ok = report.axiom2_witness is None
-    for elems, total in _permutation_sums(g, values, n + 1):
-        report.tuples_checked += 1
-        if total != 0:
-            report.axiom3_ok, report.axiom3_witness = False, elems
-            break
+    if report.axiom2_ok:
+        for elems, total in _permutation_sums(g, values, n + 1):
+            report.tuples_checked += 1
+            if total != 0:
+                report.axiom3_ok, report.axiom3_witness = False, elems
+                break
     report.passed = report.axiom1_ok and report.axiom2_ok and report.axiom3_ok
     return report
 
@@ -379,7 +389,10 @@ class TestRecursiveScan:
                            _class_functions_up_to_degree_4(group)):
                 report = check_pseudocharacter(p)
                 assert replace(report, memo_states=0) == _reference_report(p), (name, p.values)
-                # every scan goes through the memo, class function or not
+                if not report.axiom2_ok:  # not scanned
+                    assert report.tuples_checked == report.memo_states == 0, (name, p.values)
+                    continue
+                # every scan goes through the memo
                 assert report.tuples_checked and report.memo_states > 0, (name, p.values)
                 if report.passed:  # every multiset of size <= n+1, the empty one included
                     assert report.memo_states == comb(group.order + p.degree + 1,
@@ -392,11 +405,8 @@ class TestRecursiveScan:
                     continue
                 ints = replace(p, values=tuple(int(v) for v in p.values))
                 assert check_pseudocharacter(ints) == check_pseudocharacter(p), (name, p.values)
-                sampled = dict(max_exhaustive=1, sample_size=40, seed=7)
-                assert check_pseudocharacter(ints, **sampled) == \
-                    check_pseudocharacter(p, **sampled), (name, p.values)
 
-    def test_level_walk_values_equal_the_depth_first_recursion(self):
+    def test_level_walk_values_equal_the_permutation_sum(self):
         for group in (dihedral_group(4), quaternion_group(), symmetric_group_3()):
             for values in chain.from_iterable((chi, [v + 1 for v in chi])
                                               for chi in character_table(group)):
@@ -406,8 +416,7 @@ class TestRecursiveScan:
                     assert [elems for elems, _ in got] == \
                         list(combinations_with_replacement(range(group.order), k))
                     for elems, value in got:
-                        assert value == _recursive_trace_sum(group, values, elems, {},
-                                                             class_function=True), elems
+                        assert value == multilinear_trace_sum(group, values, elems), elems
 
     def test_degree_0(self):
         report = check_pseudocharacter(PseudoCharTable(dihedral_group(6), 0, (0,) * 12))
@@ -421,7 +430,8 @@ class TestRecursiveScan:
         assert report.memo_states == 6188
 
     def test_degree_past_the_recursion_limit(self):
-        # on the trivial group T_{k+1} = (t(1) - k) T_k, one state per size
+        # on the trivial group T_{k+1} = (t(1) - k) T_k, one state per size;
+        # 1502 states times 1501 is under SCAN_MAX_WORK
         c1 = cyclic_group(1)
         report = check_pseudocharacter(PseudoCharTable(c1, 1500, (1500,)))
         assert report.passed and report.memo_states == 1502
