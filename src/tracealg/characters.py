@@ -5,12 +5,20 @@ when the group is nonabelian) as exponent maps G -> Z/m: a candidate is a
 homomorphism when its exponents add mod m on every pair, so the check is
 integer addition, and the values are read from one table of the m-th roots
 of unity.  Higher-degree irreducibles are obtained by inducing linear
-characters of abelian subgroups and keeping those of norm 1.  Every group of
-order < 24 is monomial, so this recovers the full table for everything in
-scope.  The search stops as soon as the distinct characters found number the
-conjugacy classes with degree square sum |G|; an abelian group is complete
-after its linear characters and never searches its subgroups.  Completeness
-is checked before returning.
+characters of abelian subgroups, largest subgroup first, and keeping those
+of norm 1.  Every group of order < 24 is monomial, so this recovers the full
+table for everything in scope.  The search stops as soon as the distinct
+characters found number the conjugacy classes with degree square sum |G|; an
+abelian group is complete after its linear characters and never searches its
+subgroups, and D_n, Q8 and S3 finish inside their index-2 abelian subgroup.
+Completeness is checked before returning.
+
+The search works on conjugacy classes, read from one conjugation walk per
+table: a character induced from H is computed once per class a as
+|G| / (|H| |cl(a)|) times the sum of the subgroup character over H meet
+cl(a), in one pass over H, and its norm is the sum over classes of
+|cl(c)| chi(c) chi(c^-1) / |G|.  Only the characters kept are spread back
+over the elements.
 
 All values are exact elements of Q(zeta_m), m the group exponent; rational
 values are returned as Fraction.
@@ -19,24 +27,43 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .cyclotomic import Cyc
 from .pseudochar import FiniteGroup, make_group
 
 
-def conjugacy_classes(g: FiniteGroup):
-    seen = [False] * g.order
+class _ClassWalk(NamedTuple):
+    """One conjugation walk of a group: the class index of each element, the
+    classes (each a sorted tuple, ordered by least element) and the class of
+    each class's inverses."""
+    class_of: list
+    classes: list
+    inverse_class: list
+
+
+def _inverse_table(g: FiniteGroup):
+    return [row.index(g.identity) for row in g.table]
+
+
+def _class_walk(g: FiniteGroup) -> _ClassWalk:
+    table = g.table
+    inverses = _inverse_table(g)
+    class_of = [None] * g.order
     classes = []
     for a in range(g.order):
-        if seen[a]:
+        if class_of[a] is not None:
             continue
-        orbit = set()
-        for x in range(g.order):
-            orbit.add(g.mult(g.mult(x, a), g.inverse(x)))
+        orbit = {table[table[x][a]][x_inv] for x, x_inv in enumerate(inverses)}
         for e in orbit:
-            seen[e] = True
+            class_of[e] = len(classes)
         classes.append(tuple(sorted(orbit)))
-    return classes
+    inverse_class = [class_of[inverses[cls[0]]] for cls in classes]
+    return _ClassWalk(class_of, classes, inverse_class)
+
+
+def conjugacy_classes(g: FiniteGroup):
+    return _class_walk(g).classes
 
 
 def subgroup_closure(g: FiniteGroup, generators):
@@ -56,28 +83,26 @@ def subgroup_closure(g: FiniteGroup, generators):
 
 
 def abelian_subgroups(g: FiniteGroup):
-    """All subgroups generated by one element or a commuting pair."""
-    out = {subgroup_closure(g, [g.identity])}
+    """All subgroups generated by one element or a commuting pair.
+
+    Two commuting elements generate the abelian group <a><b>, so a pair's
+    subgroup is the product set of the two cyclic ones, and a pair with one
+    element in the other's cyclic group adds nothing."""
+    table = g.table
+    cyclic = [subgroup_closure(g, [a]) for a in range(g.order)]
+    out = set(cyclic)
     for a in range(g.order):
-        out.add(subgroup_closure(g, [a]))
         for b in range(a + 1, g.order):
-            if g.mult(a, b) == g.mult(b, a):
-                sub = subgroup_closure(g, [a, b])
-                if _is_abelian_subset(g, sub):
-                    out.add(sub)
+            if table[a][b] == table[b][a] and b not in cyclic[a] and a not in cyclic[b]:
+                out.add(frozenset(table[x][y] for x in cyclic[a] for y in cyclic[b]))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-def _is_abelian_subset(g: FiniteGroup, elems) -> bool:
-    elems = list(elems)
-    return all(g.mult(a, b) == g.mult(b, a) for a in elems for b in elems)
-
-
 def commutator_subgroup(g: FiniteGroup):
-    gens = set()
-    for a in range(g.order):
-        for b in range(g.order):
-            gens.add(g.mult(g.mult(a, b), g.inverse(g.mult(b, a))))
+    table = g.table
+    inverses = _inverse_table(g)
+    gens = {table[table[a][b]][inverses[table[b][a]]]
+            for a in range(g.order) for b in range(g.order)}
     return subgroup_closure(g, gens)
 
 
@@ -175,68 +200,84 @@ def linear_characters(g: FiniteGroup, m: int):
     return lifted
 
 
-def induced_character(g: FiniteGroup, sub_elems, sub_values, m: int):
-    """Character of g induced from a character of the subgroup."""
-    value_of = dict(zip(sorted(sub_elems), sub_values))
+def induced_character(g: FiniteGroup, walk: _ClassWalk, sub_elems, sub_values, m: int):
+    """Class values of the character of g induced from a character of a
+    subgroup H, its values listed in H's sorted order: on class c,
+    |G| / (|H| |cl(c)|) times the sum of the values on H meet cl(c)."""
+    sums = [Cyc.rational(m, 0)] * len(walk.classes)
+    for x, value in zip(sorted(sub_elems), sub_values):
+        c = walk.class_of[x]
+        sums[c] = sums[c] + value
     h = len(sub_elems)
-    table = g.table
-    inverses = [g.inverse(x) for x in range(g.order)]
-    out = []
-    for a in range(g.order):
-        total = Cyc.rational(m, 0)
-        for x, x_inv in enumerate(inverses):
-            conj = table[table[x_inv][a]][x]
-            if conj in value_of:
-                total = total + value_of[conj]
-        out.append(total / h)
-    return tuple(out)
+    return tuple(total * Fraction(g.order, h * len(cls))
+                 for total, cls in zip(sums, walk.classes))
+
+
+def _spread(walk: _ClassWalk, class_values):
+    """A class function's values on the elements."""
+    return tuple(class_values[c] for c in walk.class_of)
 
 
 def inner_product(g: FiniteGroup, chi, psi):
     """(1/|G|) sum chi(a) psi(a^{-1}), exact."""
     total = None
-    for a in range(g.order):
-        term = chi[a] * psi[g.inverse(a)]
+    for a, a_inv in enumerate(_inverse_table(g)):
+        term = chi[a] * psi[a_inv]
         total = term if total is None else total + term
     return total / g.order
 
 
-def _irreducible_candidates(g: FiniteGroup, m: int):
-    """Irreducible characters, possibly repeated: the linear ones, then the
-    induced characters of norm 1, subgroup by subgroup.  A generator, so a
-    caller that stops early skips the subgroup search and the induction."""
-    yield from linear_characters(g, m)
-    one = Cyc.rational(m, 1)
-    for sub in abelian_subgroups(g):
+def _irreducible_candidates(g: FiniteGroup, walk: _ClassWalk, m: int):
+    """The distinct irreducible characters found, as class values: the
+    linear ones, then the induced characters of norm 1, largest abelian
+    subgroup first.  A candidate whose class values were already tested is
+    skipped.  A generator, so a caller that stops early skips the rest of
+    the subgroup search and the induction."""
+    tested = set()
+
+    def untested(chi):
+        key = tuple(v.coeffs for v in chi)
+        if key in tested:
+            return False
+        tested.add(key)
+        return True
+
+    for chi in linear_characters(g, m):
+        chi = tuple(chi[cls[0]] for cls in walk.classes)
+        if untested(chi):
+            yield chi
+    for sub in reversed(abelian_subgroups(g)):
         if len(sub) == g.order or len(sub) == 1:
             continue
-        sub_group, order = _sub_table(g, sub)
-        for lam in linear_characters_abelian(sub_group, m):
-            chi = induced_character(g, sub, lam, m)
-            if inner_product(g, chi, chi) == one:
+        for lam in linear_characters_abelian(_sub_table(g, sub)[0], m):
+            chi = induced_character(g, walk, sub, lam, m)
+            if not untested(chi):
+                continue
+            # norm 1: the sum over classes of |cl(c)| chi(c) chi(c^-1) is |G|
+            norm = sum(len(cls) * value * chi[c_inv] for cls, value, c_inv
+                       in zip(walk.classes, chi, walk.inverse_class))
+            if norm == g.order:
                 yield chi
 
 
 def character_table(g: FiniteGroup):
     """All irreducible characters, as tuples of Fraction / Cyc values.
 
-    Candidates are taken until the distinct ones number the conjugacy
-    classes with degree square sum |G|: the table is then complete, and an
-    abelian group stops right after its linear characters.
+    Candidates are taken until they number the conjugacy classes with
+    degree square sum |G|: the table is then complete, and an abelian group
+    stops right after its linear characters.
     """
     m = g.exponent()
-    n_classes = len(conjugacy_classes(g))
+    walk = _class_walk(g)
+    n_classes = len(walk.classes)
+    identity_class = walk.class_of[g.identity]
     uniq = []
-    seen = set()
     degree_square_sum = 0
-    for chi in _irreducible_candidates(g, m):
-        key = tuple(v.coeffs for v in chi)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(chi)
-            degree_square_sum += chi[g.identity].as_rational() ** 2
-            if degree_square_sum == g.order and len(uniq) == n_classes:
-                break
+    for chi in _irreducible_candidates(g, walk, m):
+        uniq.append(chi)
+        degree_square_sum += chi[identity_class].as_rational() ** 2
+        if degree_square_sum == g.order and len(uniq) == n_classes:
+            break
     if degree_square_sum != g.order or len(uniq) != n_classes:
         raise AssertionError(
             f"character table incomplete: {len(uniq)} characters, "
@@ -245,9 +286,8 @@ def character_table(g: FiniteGroup):
     for chi in uniq:
         rationals = [v.as_rational() for v in chi]
         if all(r is not None for r in rationals):
-            out.append(tuple(rationals))
-        else:
-            out.append(chi)
+            chi = rationals
+        out.append(_spread(walk, chi))
     out.sort(key=_char_sort_key)
     return out
 

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracealg import characters, pseudochar
-from tracealg.characters import (_char_sort_key, _generating_sequence,
-                                 _sub_table, abelian_subgroups, character_table,
-                                 commutator_subgroup, conjugacy_classes,
-                                 induced_character, inner_product,
-                                 linear_characters_abelian, quotient_group)
+from tracealg.characters import (_char_sort_key, _class_walk, _generating_sequence,
+                                 _spread, _sub_table, abelian_subgroups,
+                                 character_table, commutator_subgroup,
+                                 conjugacy_classes, induced_character,
+                                 inner_product, linear_characters_abelian,
+                                 quotient_group)
 from tracealg.chident import permutation_cycles
 from tracealg.cyclotomic import Cyc
 from tracealg.findim import ch_degree, trace_kernel
@@ -552,6 +553,24 @@ def _reference_linear_characters_abelian(g, m):
     return sorted(set(chars), key=lambda c: [x.coeffs for x in c])
 
 
+def reference_induced_character(g, sub_elems, sub_values, m):
+    """Character of g induced from a character of the subgroup, element by
+    element: (1/|H|) sum over x in G of the value at x^-1 a x."""
+    value_of = dict(zip(sorted(sub_elems), sub_values))
+    h = len(sub_elems)
+    table = g.table
+    inverses = [g.inverse(x) for x in range(g.order)]
+    out = []
+    for a in range(g.order):
+        total = Cyc.rational(m, 0)
+        for x, x_inv in enumerate(inverses):
+            conj = table[table[x_inv][a]][x]
+            if conj in value_of:
+                total = total + value_of[conj]
+        out.append(total / h)
+    return tuple(out)
+
+
 def _reference_character_table(g):
     """Every induced character of every abelian subgroup, with no early
     stop, from the oracle's linear characters."""
@@ -566,7 +585,7 @@ def _reference_character_table(g):
     for sub in abelian_subgroups(g):
         if 1 < len(sub) < g.order:
             for lam in _reference_linear_characters_abelian(_sub_table(g, sub)[0], m):
-                chi = induced_character(g, sub, lam, m)
+                chi = reference_induced_character(g, sub, lam, m)
                 if inner_product(g, chi, chi) == Cyc.rational(m, 1):
                     chars.append(chi)
     uniq = {tuple(v.coeffs for v in chi): chi for chi in chars}.values()
@@ -647,3 +666,35 @@ class TestCharacterTableOracle:
             assert calls["abelian_subgroups"] == 1 and calls["induced_character"] > 0
         else:
             assert not calls, dict(calls)
+
+    def test_class_induction_matches_the_element_sum(self):
+        # every linear character of every abelian subgroup, induced class by
+        # class and spread to the elements, against the element-wise sum
+        for name, g in _session_groups_and_relabelings():
+            m = g.exponent()
+            walk = _class_walk(g)
+            for sub in abelian_subgroups(g):
+                for lam in linear_characters_abelian(_sub_table(g, sub)[0], m):
+                    got = _spread(walk, induced_character(g, walk, sub, lam, m))
+                    want = reference_induced_character(g, sub, lam, m)
+                    assert _same_values([got], [want]), (name, sorted(sub), lam)
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D5", "D6"])
+    def test_nonabelian_tables_induce_from_the_largest_subgroups_first(
+            self, monkeypatch, name):
+        calls = Counter()
+        real = induced_character
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(characters, "induced_character", counting)
+        bound = max(len(sub) for sub in abelian_subgroups(SESSION_GROUPS[name])
+                    if len(sub) < SESSION_GROUPS[name].order)
+        for label, g in _session_groups_and_relabelings():
+            if label.split("/")[0] == name:
+                calls.clear()
+                table = character_table(g)
+                assert len(table) == len(conjugacy_classes(g)), label
+                assert 0 < calls[name] <= bound, (label, calls[name], bound)
