@@ -152,7 +152,9 @@ def linear_characters_abelian(g: FiniteGroup, m: int):
     Each candidate is an exponent map e: G -> Z/m, sending generator i of a
     generating sequence to a multiple of m/o_i (o_i its order) and spread
     along the group by e(x gen) = e(x) + e(gen).  It is a homomorphism when
-    e(ab) = e(a) + e(b) mod m on every pair, which is exact because zeta^i =
+    e(x gen) = e(x) + e(gen) mod m for every element x and generator gen:
+    every b is a word in the generators, so induction on its length gives
+    e(ab) = e(a) + e(b) on every pair.  The test is exact because zeta^i =
     zeta^j iff i = j mod m; the values zeta^e(a) are then read from one
     table of the m roots.
     """
@@ -160,7 +162,7 @@ def linear_characters_abelian(g: FiniteGroup, m: int):
     orders = [g.element_order(a) for a in gens]
     steps = [(gen, m // o) for gen, o in zip(gens, orders)]
     table = g.table
-    pairs = [(a, b, table[a][b]) for a in range(g.order) for b in range(g.order)]
+    moves = [(x, gen, table[x][gen]) for x in range(g.order) for gen in gens]
     maps = set()
     for powers in product(*[range(o) for o in orders]):
         exps = {g.identity: 0}
@@ -177,7 +179,7 @@ def linear_characters_abelian(g: FiniteGroup, m: int):
         if len(exps) != g.order:
             continue
         e = tuple(exps[a] for a in range(g.order))
-        if all(e[ab] == (e[a] + e[b]) % m for a, b, ab in pairs):
+        if all(e[y] == (e[x] + e[gen]) % m for x, gen, y in moves):
             maps.add(e)
     roots = [Cyc.root(m, k) for k in range(m)]
     chars = [tuple(roots[k] for k in e) for e in maps]

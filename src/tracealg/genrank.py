@@ -7,15 +7,18 @@ every decision:
 
 * a monomial is independent when a random specialization shows it is
   independent even over the full rational function field (sound, since a
-  G-relation is in particular a rational-function relation);
+  G-relation is in particular a rational-function relation); the seed
+  draws these specialization points and nothing else;
 * once d monomials are independent and the trace Gram matrix of the basis
   is nonsingular at a specialization point, every remaining monomial is
   dependent: its unique rational-function coordinates solve the Gram system,
   so they lie in G (Cramer over the trace ring);
 * otherwise we search for a homogeneous relation t_0 * v = sum t_i * b_i
-  with coefficients in graded pieces of the trace ring, solving a sampled
-  linear system and verifying candidate relations exactly; a verified
-  relation is the dependence certificate;
+  with coefficients in graded pieces of the trace ring: the relations of
+  one degree are the null space of one exact linear system in their
+  rational coefficients, read off the symbolic words and traces, so a null
+  vector with t_0 != 0 is a relation that holds by construction and is the
+  dependence certificate;
 * a monomial with no certificate either way is counted independent and
   flagged in the report.
 
@@ -30,6 +33,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
 from . import linalg
 from .findim import Subspace, TraceAlgebra
@@ -70,8 +74,12 @@ class _RankEngine:
     def __init__(self, algebra: TraceAlgebra, ell: int, seed: int):
         self.a = algebra
         self.ell = ell
-        self.rng = random.Random(seed)
         d = algebra.dim
+        rng = random.Random(seed)
+        # the specialization points: per point, letter -> generic element as int vector
+        self.points = [{i: tuple(rng.randint(-9, 9) for _ in range(d))
+                        for i in range(1, ell + 1)} for _ in range(4)]
+        self.point_words = [{(): algebra.unit} for _ in self.points]  # word -> exact vector
         self.generic_symbolic = {
             i: tuple(MPoly.var(generic_element_name(i, j)) for j in range(d))
             for i in range(1, ell + 1)
@@ -79,37 +87,11 @@ class _RankEngine:
         self.symbolic_words = {(): tuple(MPoly.const(c) for c in algebra.unit)}
         self.symbolic_traces = {}
         self.trace_piece_cache = {}
-        self.points = []            # per point: letter -> generic element as int vector
-        self.point_words = []       # per point: word -> exact vector
-        self.point_traces = []      # per point: multiset -> exact rational
-        for _ in range(4):
-            self._add_point()
-
-    # -- specialization points -------------------------------------------------
-    def _add_point(self):
-        d = self.a.dim
-        self.points.append({i: tuple(self.rng.randint(-9, 9) for _ in range(d))
-                            for i in range(1, self.ell + 1)})
-        self.point_words.append({(): self.a.unit})
-        self.point_traces.append({})
 
     def word_at(self, w, p: int):
         return self.a.word_value(w, self.points[p], self.point_words[p])
 
-    def trace_at(self, cyc, p: int):
-        return self.a.trace_of(self.word_at(cyc, p))
-
-    def multiset_at(self, multiset, p: int):
-        cache = self.point_traces[p]
-        got = cache.get(multiset)
-        if got is None:
-            got = 1
-            for w in multiset:
-                got *= self.trace_at(w, p)
-            cache[multiset] = got
-        return got
-
-    # -- symbolic values (only used to verify candidate relations) -------------
+    # -- symbolic values: the columns of the relation systems ----------------
     def symbolic_word(self, w):
         return self.a.word_value(w, self.generic_symbolic, self.symbolic_words)
 
@@ -125,32 +107,29 @@ class _RankEngine:
                        for w in product(range(1, self.ell + 1), repeat=h)})
 
     def trace_piece(self, e: int):
-        """Multisets of cyclic words of total length e, spanning the degree-e
-        graded piece of the trace ring; degree 0 is the constant 1."""
+        """The degree-e graded piece of the trace ring, spanned by the
+        products T_u of the traces in the multisets u of cyclic words of total
+        length e: a list of (u, T_u).  Degree 0 is the empty multiset, T = 1."""
         got = self.trace_piece_cache.get(e)
         if got is not None:
             return got
-        if e == 0:
-            out = [()]
-        else:
-            out = []
-            words = []
-            for h in range(1, e + 1):
-                words.extend(self.cyclic_words(h))
-            words.sort(key=lambda w: (len(w), w))
+        words = [w for h in range(1, e + 1) for w in self.cyclic_words(h)]
+        multisets = []
 
-            def rec(start, remaining, chosen):
-                if remaining == 0:
-                    out.append(tuple(chosen))
-                    return
-                for idx in range(start, len(words)):
-                    w = words[idx]
-                    if len(w) > remaining:
-                        break
-                    rec(idx, remaining - len(w), chosen + [w])
+        def rec(start, remaining, chosen):
+            if remaining == 0:
+                multisets.append(tuple(chosen))
+                return
+            for idx in range(start, len(words)):
+                w = words[idx]
+                if len(w) > remaining:
+                    break
+                rec(idx, remaining - len(w), chosen + [w])
 
-            rec(0, e, [])
-        self.trace_piece_cache[e] = out
+        rec(0, e, [])
+        one = MPoly.const(1)
+        out = self.trace_piece_cache[e] = [
+            (u, prod(map(self.symbolic_trace, u), start=one)) for u in multisets]
         return out
 
     # -- certificates ------------------------------------------------------------
@@ -176,91 +155,30 @@ class _RankEngine:
         return False
 
     def find_relation(self, basis_words, w):
-        """Verified relation t_0 * v(w) = sum t_i * v(b_i) with t_0 != 0 in the
-        trace ring, searched degree by degree, or None."""
+        """Relation t_0 * v(w) = sum t_i * v(b_i) with t_0 != 0 in the trace
+        ring, as its nonzero (word, sign, multiset, coefficient) terms, or None.
+
+        In each degree the relations are the null space of one exact system:
+        one unknown per column sign * T_u * v(word), over the words w and b_i
+        and the multisets u of their graded pieces, and one row per
+        (coordinate, monomial) that occurs.  t_0 = sum c_u * T_u over the
+        columns of w is linear on that null space, so it is nonzero on some
+        relation exactly when it is nonzero on a basis vector."""
         e = len(w)
-        for extra in range(RELATION_DEGREE_SLACK + 1):
-            degree = e + extra
-            blocks = [(w, +1, self.trace_piece(degree - e))]
-            for b in basis_words:
-                if degree - len(b) >= 0:
-                    blocks.append((b, -1, self.trace_piece(degree - len(b))))
-            if not blocks[0][2]:
-                continue
-            relation = self._solve_block_system(blocks)
-            if relation is not None:
-                return relation
-        return None
-
-    def _solve_block_system(self, blocks):
-        d = self.a.dim
-        unknown_index = [(bi, ti)
-                         for bi, (_w, _s, piece) in enumerate(blocks)
-                         for ti in range(len(piece))]
-        n_unknowns = len(unknown_index)
-        if n_unknowns == 0:
-            return None
-        n_points = max(4, (n_unknowns + d - 1) // d + 2)
-        previous_dim = None
-        for _round in range(6):
-            while len(self.points) < n_points:
-                self._add_point()
-            rows = []
-            for p in range(n_points):
-                cols = []
-                for word, sign, piece in blocks:
-                    wv = self.word_at(word, p)
-                    for multiset in piece:
-                        tv = sign * self.multiset_at(multiset, p)
-                        cols.append(tuple(tv * x for x in wv))
-                for coord in range(d):
-                    rows.append([c[coord] for c in cols])
-            null = linalg.nullspace(rows)
-            if not null:
-                return None
-            if previous_dim is not None and len(null) == previous_dim:
-                checked = 0
-                for vec in null:
-                    t0_cols = [vec[u] for u, (bi, _t) in enumerate(unknown_index)
-                               if bi == 0]
-                    if all(c == 0 for c in t0_cols):
-                        continue
-                    relation = self._verify_relation(blocks, vec, unknown_index)
-                    if relation is not None:
-                        return relation
-                    checked += 1
-                    if checked >= 8:
-                        break
-                if checked:
-                    return None
-            previous_dim = len(null)
-            n_points += 3
-        return None
-
-    def _verify_relation(self, blocks, vec, unknown_index):
-        """Exact check of a sampled candidate; returns its nonzero part or None."""
-        d = self.a.dim
-        t0 = []
-        total = [{} for _ in range(d)]
-        parts = []
-        for u, (bi, ti) in enumerate(unknown_index):
-            c = vec[u]
-            if c == 0:
-                continue
-            word, sign, piece = blocks[bi]
-            multiset = piece[ti]
-            value = MPoly.const(c)
-            for cw in multiset:
-                value = value * self.symbolic_trace(cw)
-            if bi == 0:
-                t0.append(value)
-            for out, entry in zip(total, self.symbolic_word(word)):
-                MPoly.add_product(out, value, entry, sign)
-            parts.append((word, sign, multiset, c))
-        if not MPoly.sum(t0):
-            return None
-        if not any(total):
-            return parts
+        words = [(w, 1)] + [(b, -1) for b in basis_words]
+        for degree in range(e, e + RELATION_DEGREE_SLACK + 1):
+            terms = [(word, sign, u, t) for word, sign in words if len(word) <= degree
+                     for u, t in self.trace_piece(degree - len(word))]
+            rows = {}
+            for col, (word, sign, _u, t) in enumerate(terms):
+                for coord, x in enumerate(self.symbolic_word(word)):
+                    for key, c in (sign * t * x).terms.items():
+                        rows.setdefault((coord, key), [0] * len(terms))[col] = c
+            t_w = [t for _u, t in self.trace_piece(degree - e)]
+            for vec in linalg.nullspace(list(rows.values())):
+                if MPoly.sum(zip(vec, t_w)):
+                    return [(word, sign, u, c)
+                            for c, (word, sign, u, _t) in zip(vec, terms) if c]
         return None
 
 

@@ -116,11 +116,6 @@ class MPoly(SparsePoly):
             return self.terms[0]
         return None
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in _decode(k)) for k in self.terms)
-
     def variables(self):
         return {name for k in self.terms for name, _ in _decode(k)}
 

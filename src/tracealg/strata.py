@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
-from .findim import WeightedType
-
 
 @dataclass(frozen=True)
 class StratumType:
@@ -40,14 +38,6 @@ class StratumType:
     @property
     def block_count(self) -> int:
         return len(self.pairs)
-
-    def to_weighted_type(self) -> WeightedType:
-        return WeightedType(tuple(m for m, _ in self.pairs),
-                            tuple(a for _, a in self.pairs))
-
-    @classmethod
-    def from_weighted_type(cls, wt: WeightedType) -> "StratumType":
-        return cls.of(tuple(zip(wt.sizes, wt.weights)))
 
     def label(self) -> str:
         return "+".join(f"{m}/{a}" for m, a in self.pairs)

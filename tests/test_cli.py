@@ -361,6 +361,25 @@ class TestAlgebraCommands:
         assert result.exit_code == 0
         assert "rank 3 (stabilized)" in result.output
 
+    def test_genrank_inconclusive_on_the_augmentation_trace_of_q_c2(self, tmp_path):
+        # Q[C2] traced by the trivial character is not Cayley-Hamilton of
+        # degree 1, and its generic rank over the trace field Q(s) is
+        # infinite: every power of g up to the cap 2d^2 = 8 stays unverified.
+        # The seven relation searches take about 0.06 s in process (Python
+        # 3.11.7, 2 cores); the bound leaves room for start-up and load.
+        path = tmp_path / "qc2.json"
+        path.write_text(json.dumps({
+            "dim": 2, "basis": ["1", "g"],
+            "mul": [[[[0, "1"]], [[1, "1"]]], [[[1, "1"]], [[0, "1"]]]],
+            "unit": ["1", "0"], "trace": ["1", "1"],
+        }))
+        result, seconds = run_cli_process(["algebra", "genrank", "--in", str(path),
+                                           "--ell", "1"])
+        assert result.returncode == 1, result.stderr
+        assert seconds < 10.0
+        powers = [(1,) * k for k in range(2, 9)]
+        assert result.stdout == f"rank 9 (inconclusive)\n  unverified independents: {powers}\n"
+
     def test_malformed_json_diagnostics(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{ not json")

@@ -8,6 +8,7 @@ from tracealg.characters import character_table
 from tracealg.findim import (dual_numbers, make_algebra, quotient_algebra,
                              trace_kernel, weighted_semisimple)
 from tracealg.genrank import _RankEngine, generic_algebra_rank, generic_element_name
+from tracealg.mpoly import MPoly
 from tracealg.pseudochar import PseudoCharTable, group_algebra, symmetric_group_3
 from tracealg.strata import enumerate_types
 
@@ -83,10 +84,58 @@ class TestReportShape:
 
 def test_integral_algebra_specializes_in_int():
     engine = _RankEngine(weighted_semisimple([(1, 1), (2, 1)]), 2, seed=3)
+    trace_of = engine.a.trace_of
     for p in range(len(engine.points)):
         values = [c for w in [(1,), (1, 2), (2, 2, 1)] for c in engine.word_at(w, p)]
-        values.append(engine.multiset_at(((1,), (1, 2)), p))
+        values.append(trace_of(engine.word_at((1,), p)) * trace_of(engine.word_at((1, 2), p)))
         assert all(type(v) is int for v in values)
+
+
+# -- relations from one exact null space per degree -------------------------
+
+def _relation_parts(algebra, ell, relation, w):
+    """t_0 and the residue sum sign * c * T_u * v(word) of a relation, by an
+    evaluation of its own: generic elements as ``MPoly`` coordinates, each
+    word multiplied out from the unit, each trace taken afresh."""
+    generic = {i: tuple(MPoly.var(generic_element_name(i, j)) for j in range(algebra.dim))
+               for i in range(1, ell + 1)}
+
+    def value(word):
+        out = tuple(MPoly.const(c) for c in algebra.unit)
+        for letter in word:
+            out = algebra.multiply(out, generic[letter])
+        return out
+
+    t0 = MPoly.const(0)
+    residue = [MPoly.const(0)] * algebra.dim
+    for word, sign, multiset, c in relation:
+        t = MPoly.const(c)
+        for cyc in multiset:
+            t = t * algebra.trace_of(value(cyc))
+        if word == w:
+            t0 = t0 + t
+        residue = [r + sign * t * x for r, x in zip(residue, value(word))]
+    return t0, residue
+
+
+def test_no_relation_for_the_second_dual_number_generic_element():
+    # over the trace field of the dual numbers, g2 is independent of 1 and g1
+    # (rank ell + 1), so no degree the search reads holds a relation
+    engine = _RankEngine(dual_numbers(), 2, seed=0)
+    assert engine.find_relation([(), (1,)], (2,)) is None
+
+
+def test_the_cayley_hamilton_relation_of_m2_holds_exactly():
+    # g^2 = tr(g) g - det(g) on M2: a relation in degree 2 with t_0 != 0
+    algebra = weighted_semisimple([(2, 1)])
+    relations = [_RankEngine(algebra, 1, seed).find_relation([(), (1,)], (1, 1))
+                 for seed in range(3)]
+    relation = relations[0]
+    assert relation is not None
+    assert relations[1:] == [relation, relation]     # no random draw decides it
+    assert {len(word) + sum(map(len, u)) for word, _s, u, _c in relation} == {2}
+    t0, residue = _relation_parts(algebra, 1, relation, (1, 1))
+    assert t0 and not any(residue)
 
 
 # -- one structure-constant product for every coefficient ring ----------------
@@ -127,7 +176,7 @@ def test_one_product_for_every_coefficient_ring(name, words, p, data):
     for w in map(tuple, words):
         specialized = tuple(c.evaluate(point) for c in engine.symbolic_word(w))
         assert specialized == engine.word_at(w, p)
-        assert engine.symbolic_trace(w).evaluate(point) == engine.trace_at(w, p)
+        assert engine.symbolic_trace(w).evaluate(point) == algebra.trace_of(engine.word_at(w, p))
     coords = st.lists(st.integers(-5, 5), min_size=algebra.dim, max_size=algebra.dim)
     x, y = data.draw(coords), data.draw(coords)
     assert algebra.multiply(x, y) == \

@@ -4,8 +4,9 @@ Library checks must survive ``python -O``, which strips ``assert``, no
 module imports a name it never uses, every function is referenced
 somewhere, ``findim`` imports no free-algebra module, ``cyclotomic`` only
 ``sparse`` and ``linalg`` no ``tracealg`` module at all, only the
-algebra's own methods and its JSON dump read its structure constants, and
-no function in ``genmat`` calls itself.
+algebra's own methods and its JSON dump read its structure constants, no
+function in ``genmat`` calls itself, and ``genrank`` reads its random
+numbers only where it makes its specialization points.
 """
 import ast
 from pathlib import Path
@@ -171,3 +172,36 @@ def test_genmat_does_not_recurse():
     path = ROOT / "src" / "tracealg" / "genmat.py"
     found = _self_callers(ast.parse(path.read_text(), filename=str(path)))
     assert not found, f"genmat.py functions calling themselves: {found}"
+
+
+def _random_reads(tree):
+    """The lines that use ``rng`` or ``random`` (a name read, or an
+    attribute) outside the value assigned to ``rng`` or to ``self.points``."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and \
+                any(ast.unparse(t) in ("rng", "self.points") for t in node.targets):
+            allowed.update(map(id, ast.walk(node.value)))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if ((isinstance(node, ast.Name) and node.id in ("rng", "random")
+                        and isinstance(node.ctx, ast.Load))
+                       or (isinstance(node, ast.Attribute) and node.attr == "rng"))
+                   and id(node) not in allowed})
+
+
+def test_the_random_read_lint_sees_stray_draws():
+    tree = ast.parse("rng = random.Random(seed)\n"
+                     "self.points = [rng.randint(-9, 9) for _ in range(4)]\n"
+                     "c = rng.random()\n"
+                     "self.rng = rng\n"
+                     "d = self.rng.choice(xs)\n")
+    assert _random_reads(tree) == [3, 4, 5]
+
+
+def test_genrank_draws_only_its_specialization_points():
+    """Randomness never decides a relation: ``genrank``'s ``rng`` makes the
+    specialization points, which can only certify independence, and each
+    relation comes from an exact null space."""
+    path = ROOT / "src" / "tracealg" / "genrank.py"
+    found = _random_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"genrank.py reads randomness outside the specialization points: {found}"

@@ -19,7 +19,7 @@ from tracealg.characters import (_char_sort_key, _class_walk, _generating_sequen
                                  quotient_group)
 from tracealg.chident import permutation_cycles
 from tracealg.cyclotomic import Cyc
-from tracealg.findim import ch_degree, trace_kernel
+from tracealg.findim import ch_degree, quotient_algebra, trace_kernel
 from tracealg.pseudochar import (SCAN_MAX_WORK, FiniteGroup, GroupValidationError,
                                  PseudoCharTable, PseudoCheckReport,
                                  _level_trace_sums, check_pseudocharacter,
@@ -491,6 +491,45 @@ class TestPseudocharKernel:
         kernel, quotient = pseudochar_kernel(p)
         assert quotient.dim == 5  # M2 + Q
         assert ch_degree(quotient, 3) == 3
+
+
+# -- the paper's comparison: the scan against the Cayley-Hamilton quotient ------
+
+def _class_functions_on_the_first_four_classes():
+    """Every class function of C2, C3, S3, Q8, V4, D4, D5 and D6 with values
+    -1..2 on its first four conjugacy classes and 0 on the others, whose
+    value t(1) = n on the identity's class is a degree 1..3 (so n is 1 or
+    2): 712 rational tables."""
+    groups = (cyclic_group(2), cyclic_group(3), symmetric_group_3(), quaternion_group(),
+              klein_four_group(), dihedral_group(4), dihedral_group(5), dihedral_group(6))
+    for g in groups:
+        classes = conjugacy_classes(g)
+        assert g.identity in classes[0]
+        for class_values in product(range(-1, 3), repeat=min(4, len(classes))):
+            n = class_values[0]
+            if not 1 <= n <= 3:
+                continue
+            values = [Fraction(0)] * g.order
+            for cls, v in zip(classes, class_values):
+                for a in cls:
+                    values[a] = Fraction(v)
+            yield PseudoCharTable(g, n, tuple(values))
+
+
+def test_scan_verdict_matches_the_cayley_hamilton_quotient():
+    """A class function t is a degree-n pseudocharacter exactly when
+    Q[G]/ker t, with the induced trace, satisfies the degree-n
+    Cayley-Hamilton identity: the level-walk scan and ``ch_degree`` of the
+    quotient give the same verdict on every table of the family."""
+    passed = 0
+    tables = list(_class_functions_on_the_first_four_classes())
+    for p in tables:
+        algebra = group_algebra(p)
+        quotient, _ = quotient_algebra(algebra, trace_kernel(algebra))
+        scan = check_pseudocharacter(p).passed
+        assert scan == (ch_degree(quotient, p.degree) == p.degree), (p.group.order, p.values)
+        passed += scan
+    assert (len(tables), passed) == (712, 30)
 
 
 class TestCharacterTables:

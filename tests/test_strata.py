@@ -5,7 +5,6 @@ from functools import lru_cache
 
 import pytest
 
-from tracealg.findim import WeightedType
 from tracealg.strata import (StratumType, closure_leq, enumerate_types,
                              maximal_degenerations, stratification_poset,
                              stratum_dims)
@@ -31,12 +30,6 @@ class TestEnumerateTypes:
         for n in range(1, 7):
             for s in enumerate_types(n):
                 assert s.n == n
-
-    def test_weighted_type_roundtrip(self):
-        for s in enumerate_types(4):
-            wt = s.to_weighted_type()
-            assert isinstance(wt, WeightedType)
-            assert StratumType.from_weighted_type(wt) == s
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
