@@ -7,7 +7,6 @@ summing signed cycle products over symmetric groups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -103,28 +102,6 @@ def _insert(cycles, m: int) -> list:
         for pos, e in enumerate(cyc, 1):
             row[e] = head + (cyc[:pos] + (m,) + cyc[pos:],) + tail
     return row
-
-
-@dataclass(frozen=True)
-class PermCycles:
-    """A permutation of {1..size} stored as disjoint cycles covering {1..size}."""
-
-    size: int
-    cycles: tuple
-
-    def __post_init__(self):
-        seen = sorted(v for cyc in self.cycles for v in cyc)
-        if seen != list(range(1, self.size + 1)):
-            raise ValueError("cycles must partition {1..size}")
-
-    @property
-    def sign(self) -> int:
-        return (-1) ** (self.size - len(self.cycles))
-
-
-def t_sigma(perm: PermCycles) -> TracePoly:
-    """T_sigma: one trace symbol per cycle of the permutation."""
-    return TracePoly.monomial((), perm.cycles)
 
 
 # The walk lists the cycles of a permutation in the order of their least

@@ -94,7 +94,7 @@ def _builtin_poly(name: str) -> TracePoly:
               help=f"Expression, builtin:chN with N at most {CHPOLY_MAX_N}, "
                    f"or builtin:Tk with k at most {VERIFY_T_MAX_K}.")
 @click.option("--size", "size", type=int, required=True, help="Matrix size n.")
-@click.option("--random", "trials", type=int, default=0,
+@click.option("--random", "trials", type=click.IntRange(min=0), default=0,
               help="Try this many random rational tuples before the symbolic check.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify(poly, size, trials, seed):
@@ -162,17 +162,25 @@ def kernel(path):
 # about 1.2 s and 100946 (M4 + M1 with weights 1, 2) about 1.8 s; M4 with
 # its trace doubled needs 735470 (Python 3.11.7, 2 cores)
 CHDEG_MAX_MULTISETS = 100000
+# each n up to --nmax other than t(1) costs a diagnostic line: the trace-0
+# algebra prints 0.13 MB in 0.2 s at --nmax 5000 and 2.9 MB in 1 s at 10^5;
+# past n = 445 only the one-dimensional algebra fits CHDEG_MAX_MULTISETS,
+# and its test at n = t(1) multiplies integers of size n!/(n - k)!: 1.3 s at
+# n = 4000, 7.8 s at 10000 (one process per call, Python 3.11.7, 2 cores)
+CHDEG_MAX_NMAX = 4000
 
 
 @algebra.command()
 @click.option("--in", "path", required=True, type=click.Path(exists=True))
 @click.option("--nmax", type=int, default=8, show_default=True,
-              help=f"Largest degree tried; the test at n = t(1) may build at "
-                   f"most {CHDEG_MAX_MULTISETS} basis multisets.")
+              help=f"Largest degree tried, at most {CHDEG_MAX_NMAX}; the test at "
+                   f"n = t(1) may build at most {CHDEG_MAX_MULTISETS} basis multisets.")
 def chdeg(path, nmax):
     """Print the least degree for which the trace identity holds."""
     if nmax < 1:
         _fail_usage("--nmax must be >= 1")
+    if nmax > CHDEG_MAX_NMAX:
+        _fail_usage(f"--nmax {nmax} is above the bound {CHDEG_MAX_NMAX}")
     a = _load_algebra_file(path)
     walked = ch_degree_multisets(a, nmax)
     if walked > CHDEG_MAX_MULTISETS:

@@ -208,20 +208,6 @@ class TraceAlgebra:
         """G[i][j] = t(v_i v_j), the trace form on the given vectors."""
         return [[self.trace_of(self.multiply(x, y)) for y in vectors] for x in vectors]
 
-    def element_is_nilpotent(self, x):
-        """Smallest k <= dim with x^k = 0, or None.
-
-        The algebra is unital, so x^k = L^k(1) for L the left multiplication
-        by x, and x^k = 0 exactly when L^k = 0.  A nilpotent operator on a
-        space of dimension dim has L^dim = 0, so no index exceeds dim.
-        """
-        power = x
-        for k in range(1, self.dim + 1):
-            if not any(power):
-                return k
-            power = self.multiply(power, x)
-        return None
-
 
 def make_algebra(mul, unit, trace_vector, labels=None, blocks=None,
                  validate: bool = True) -> TraceAlgebra:
@@ -539,24 +525,6 @@ def rescale_trace(a: TraceAlgebra, factor: int) -> TraceAlgebra:
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
     return replace(a, trace_vector=tuple(factor * t for t in a.trace_vector))
-
-
-# -- trace-ideal arithmetic ------------------------------------------------------
-
-def ideal_dot_product(a: TraceAlgebra, left: Subspace, right: Subspace) -> Subspace:
-    """I . J = IJ + A t(IJ): the product closed up under trace."""
-    products = []
-    any_trace = False
-    for x in left.rows:
-        for y in right.rows:
-            p = a.multiply(x, y)
-            products.append(p)
-            if a.trace_of(p) != 0:
-                any_trace = True
-    span = Subspace.from_vectors(a.dim, products) if products else Subspace.zero(a.dim)
-    if any_trace:
-        span = span + Subspace.whole(a.dim)
-    return span
 
 
 # -- convenient small algebras ---------------------------------------------------

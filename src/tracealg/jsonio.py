@@ -143,14 +143,6 @@ def load_group(text) -> FiniteGroup:
     return make_group(table, identity=identity)
 
 
-def dump_group(g: FiniteGroup) -> str:
-    return json.dumps({
-        "order": g.order,
-        "table": [list(row) for row in g.table],
-        "identity": g.identity,
-    }, indent=2)
-
-
 def load_pseudochar(text, group: FiniteGroup) -> PseudoCharTable:
     """Schema: {n, values: ["p/q", ...]} with one value per group element."""
     data = _load(text, "pseudocharacter")

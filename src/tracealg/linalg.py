@@ -90,33 +90,8 @@ def nullspace(rows):
     return basis
 
 
-def matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            x = a[i][t]
-            if x == 0:
-                continue
-            row = b[t]
-            orow = out[i]
-            for j in range(m):
-                orow[j] += x * row[j]
-    return out
-
-
 def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def invert(rows):
-    """Inverse of a square rational matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(row) + unit for row, unit in zip(rows, identity(n))]
-    ech, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in ech[:n]]
 
 
 def solve(rows, rhs):

@@ -203,10 +203,6 @@ class PolyMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, n: int) -> "PolyMatrix":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
     def scalar(cls, value, n: int) -> "PolyMatrix":
         return cls([[value if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -219,9 +215,6 @@ class PolyMatrix:
         self._check(other)
         return PolyMatrix([[a - b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return PolyMatrix([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):

@@ -57,13 +57,6 @@ class FiniteGroup:
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inverse(self, a: int) -> int:
-        row = self.table[a]
-        for b in range(self.order):
-            if row[b] == self.identity:
-                return b
-        raise GroupValidationError(f"element {a} has no inverse")
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:

@@ -1,5 +1,6 @@
 """Characteristic coefficients, the degree-n identity, multilinear forms."""
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,9 +8,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from tracealg.chident import (PermCycles, ch_multilinear, ch_poly,
-                              elementary_from_powersums, permutation_cycles,
-                              polarize, restitute, sigma, t_multilinear, t_sigma)
+from tracealg.chident import (ch_multilinear, ch_poly, elementary_from_powersums,
+                              permutation_cycles, polarize, restitute, sigma,
+                              t_multilinear)
 from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
 from tracealg.genmat import is_trace_identity
 from tracealg.mpoly import MPoly
@@ -88,21 +89,13 @@ class TestChPoly:
 
 class TestTSigma:
     def test_identity_permutation(self):
-        perm = PermCycles(2, ((1,), (2,)))
-        assert t_sigma(perm) == formal_trace(x(1)) * formal_trace(x(2))
+        assert TracePoly.monomial((), ((1,), (2,))) == formal_trace(x(1)) * formal_trace(x(2))
 
     def test_transposition(self):
-        perm = PermCycles(2, ((1, 2),))
-        assert t_sigma(perm) == formal_trace(TracePoly.word([1, 2]))
+        assert TracePoly.monomial((), ((1, 2),)) == formal_trace(TracePoly.word([1, 2]))
 
     def test_three_cycle(self):
-        perm = PermCycles(3, ((1, 2, 3),))
-        assert t_sigma(perm) == formal_trace(TracePoly.word([1, 2, 3]))
-
-    def test_sign(self):
-        assert PermCycles(3, ((1, 2, 3),)).sign == 1
-        assert PermCycles(3, ((1, 2), (3,))).sign == -1
-        assert PermCycles(1, ((1,),)).sign == 1
+        assert TracePoly.monomial((), ((1, 2, 3),)) == formal_trace(TracePoly.word([1, 2, 3]))
 
 
 class TestTMultilinear:
@@ -213,6 +206,23 @@ class TestFormalIdentities:
 
 
 # -- the one-term-per-permutation constructions, kept as oracles --------------
+
+@dataclass(frozen=True)
+class PermCycles:
+    """A permutation of {1..size} stored as disjoint cycles covering {1..size}."""
+
+    size: int
+    cycles: tuple
+
+    @property
+    def sign(self) -> int:
+        return (-1) ** (self.size - len(self.cycles))
+
+
+def t_sigma(perm: PermCycles) -> TracePoly:
+    """T_sigma: one trace symbol per cycle of the permutation."""
+    return TracePoly.monomial((), perm.cycles)
+
 
 def from_one_line(images) -> PermCycles:
     """The permutation with images[i] the image of i+1, in cycle form."""

@@ -14,13 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from tracealg.characters import character_table
 import tracealg
-from tracealg.cli import (CHDEG_MAX_MULTISETS, CHPOLY_MAX_N, STRATA_MAX_N,
-                          VERIFY_T_MAX_K, main)
+from tracealg.cli import (CHDEG_MAX_MULTISETS, CHDEG_MAX_NMAX, CHPOLY_MAX_N,
+                          STRATA_MAX_N, VERIFY_T_MAX_K, main)
 from tracealg.freetrace import MAX_NESTING
-from tracealg.findim import weighted_semisimple
-from tracealg.jsonio import dump_algebra, dump_group
+from tracealg.findim import make_algebra, weighted_semisimple
+from tracealg.jsonio import dump_algebra
 from tracealg.pseudochar import (SCAN_MAX_WORK, cyclic_group, dihedral_group,
                                  symmetric_group_3)
+
+
+def dump_group(g) -> str:
+    """The group file ``pseudochar check --group`` reads."""
+    return json.dumps({"order": g.order, "table": [list(row) for row in g.table],
+                       "identity": g.identity}, indent=2)
 
 
 @pytest.fixture
@@ -133,6 +139,13 @@ class TestVerify:
                                       "--size", "3", "--random", "10"])
         assert result.exit_code == 1
         assert "counterexample" in result.output
+
+    def test_negative_random_count_exits_2(self, runner):
+        result = runner.invoke(main, ["verify", "--poly", "x1", "--size", "2",
+                                      "--random", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "counterexample" not in result.output
+        assert "'--random': -1 is not in the range x>=0" in result.output
 
     def test_expression_input(self, runner):
         result = runner.invoke(main, ["verify", "--poly",
@@ -326,6 +339,37 @@ class TestAlgebraCommands:
         result = runner.invoke(main, ["algebra", "chdeg", "--in", str(path)])
         assert result.exit_code == 2
         assert "735470 basis multisets" in result.output
+
+    def test_chdeg_at_the_nmax_bound(self, tmp_path):
+        # Q with t(1) = n: the test at n multiplies integers of n!/(n - k)!
+        # size, about 1.3 s at the bound; with t(1) = 0 every n is a line
+        path = tmp_path / "q.json"
+        path.write_text(dump_algebra(weighted_semisimple([(1, CHDEG_MAX_NMAX)])))
+        argv = ["algebra", "chdeg", "--in", str(path), "--nmax", str(CHDEG_MAX_NMAX)]
+        result, seconds = run_cli_process(argv)
+        assert result.returncode == 0, result.stderr
+        assert seconds < 15.0
+        assert result.stdout == f"{CHDEG_MAX_NMAX}\n"
+        path.write_text(dump_algebra(make_algebra([[[1]]], unit=[1], trace_vector=[0],
+                                                  labels=("1",))))
+        result, seconds = run_cli_process(argv)
+        assert result.returncode == 0, result.stderr
+        assert seconds < 5.0
+        lines = result.stdout.splitlines()
+        assert lines[0] == f"none up to n_max={CHDEG_MAX_NMAX}"
+        assert lines[1:] == [f"  n={n}: t(1) = 0 != {n}" for n in range(1, CHDEG_MAX_NMAX + 1)]
+
+    def test_chdeg_above_the_nmax_bound_exits_2_at_once(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(dump_algebra(make_algebra([[[1]]], unit=[1], trace_vector=[0],
+                                                  labels=("1",))))
+        result, seconds = run_cli_process(["algebra", "chdeg", "--in", str(path),
+                                           "--nmax", str(CHDEG_MAX_NMAX + 1)])
+        assert result.returncode == 2
+        assert seconds < 5.0
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert f"--nmax {CHDEG_MAX_NMAX + 1} is above the bound {CHDEG_MAX_NMAX}" in result.stderr
 
     def test_chdeg_nmax_below_one_exits_2(self, runner, tmp_path):
         path = tmp_path / "m2.json"

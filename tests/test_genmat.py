@@ -322,39 +322,6 @@ class TestOneDiagonalMatrix:
         assert not is_trace_identity(TracePoly.word([1] * 2000), 2)
 
 
-class TestNilpotentAndIdempotentTraces:
-    def test_nilpotent_matrices_have_zero_trace(self):
-        rng = random.Random(1)
-        for n in (2, 3, 4):
-            strict = [[Fraction(rng.randint(-4, 4)) if j > i else Fraction(0)
-                       for j in range(n)] for i in range(n)]
-            base = None
-            while base is None:
-                cand = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-                if linalg.invert(cand) is not None:
-                    base = cand
-            conj = linalg.matmul(linalg.matmul(base, strict), linalg.invert(base))
-            trace = sum(conj[i][i] for i in range(n))
-            assert trace == 0
-
-    def test_idempotent_traces_are_small_integers(self):
-        rng = random.Random(2)
-        for n in (2, 3, 4):
-            for r in range(n + 1):
-                base = None
-                while base is None:
-                    cand = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                            for _ in range(n)]
-                    if linalg.invert(cand) is not None:
-                        base = cand
-                diag = [[Fraction(1) if i == j and i < r else Fraction(0)
-                         for j in range(n)] for i in range(n)]
-                proj = linalg.matmul(linalg.matmul(base, diag), linalg.invert(base))
-                assert linalg.matmul(proj, proj) == proj
-                trace = sum(proj[i][i] for i in range(n))
-                assert trace == r and 0 <= trace <= n
-
-
 class TestDiagonalModel:
     def test_two_distinct_eigenvalues_no_relation(self):
         model = diagonal_model((1, 1))

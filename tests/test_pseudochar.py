@@ -598,7 +598,7 @@ def reference_induced_character(g, sub_elems, sub_values, m):
     value_of = dict(zip(sorted(sub_elems), sub_values))
     h = len(sub_elems)
     table = g.table
-    inverses = [g.inverse(x) for x in range(g.order)]
+    inverses = [table[x].index(g.identity) for x in range(g.order)]
     out = []
     for a in range(g.order):
         total = Cyc.rational(m, 0)
