@@ -72,6 +72,13 @@ def polarize(expr):
 # 3.11.7, 2 cores)
 VERIFY_T_MAX_K = 8
 
+# verify --random N draws N integer trials before the symbolic check, each
+# one fold of the terms over int entries.  The bound is the number of trials
+# verify itself draws for a witness after a failed symbolic check: one trial
+# of builtin:T8 at size 2 takes 0.2-0.4 s, and --random 200 on it 50-55 s in
+# all, about 5 s of it the symbolic check (Python 3.11.7, 2 cores)
+VERIFY_MAX_TRIALS = 200
+
 
 def _builtin_poly(name: str) -> TracePoly:
     """The polynomial --poly names; a builtin's degree is checked against
@@ -95,13 +102,16 @@ def _builtin_poly(name: str) -> TracePoly:
                    f"or builtin:Tk with k at most {VERIFY_T_MAX_K}.")
 @click.option("--size", "size", type=int, required=True, help="Matrix size n.")
 @click.option("--random", "trials", type=click.IntRange(min=0), default=0,
-              help="Try this many random rational tuples before the symbolic check.")
+              help="Try this many random integer tuples before the symbolic check, "
+                   f"at most {VERIFY_MAX_TRIALS}.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify(poly, size, trials, seed):
     """Decide whether an expression vanishes on all size-n matrices.
 
     Exit 0 if it is an identity, 1 with a printed witness otherwise.
     """
+    if trials > VERIFY_MAX_TRIALS:
+        _fail_usage(f"--random {trials} is above the bound {VERIFY_MAX_TRIALS}")
     try:
         p = _builtin_poly(poly)
     except ValueError as exc:
@@ -117,7 +127,8 @@ def verify(poly, size, trials, seed):
         except OverflowError as exc:
             _fail_usage(f"--poly: too long for generic matrices: {exc}")
         if not holds:
-            witness = genmat.random_counterexample(p, size, trials=200, seed=seed)
+            witness = genmat.random_counterexample(p, size, trials=VERIFY_MAX_TRIALS,
+                                                   seed=seed)
             if witness is None:
                 # fall back to generic matrices as the witness description
                 click.echo("not an identity (generic evaluation is nonzero)")

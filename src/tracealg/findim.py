@@ -31,9 +31,9 @@ class Subspace:
     """Subspace of Q^d, canonical reduced-row-echelon basis.
 
     ``rows`` must be the canonical reduced row echelon form that
-    ``from_vectors``, ``zero`` and ``whole`` build: membership and the
-    quotient projection reduce a vector against the rows' pivots and rely
-    on it.
+    ``from_vectors`` and ``whole`` build, () for the zero subspace:
+    membership and the quotient projection reduce a vector against the
+    rows' pivots and rely on it.
     """
 
     ambient: int
@@ -43,10 +43,6 @@ class Subspace:
     def from_vectors(cls, ambient: int, vectors) -> "Subspace":
         ech, _ = linalg.rref(vectors)
         return cls(ambient, tuple(tuple(r) for r in ech))
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
 
     @classmethod
     def whole(cls, ambient: int) -> "Subspace":

@@ -7,8 +7,12 @@ matrices may be a generic diagonal one (see ``is_trace_identity``).
 ``evaluate`` is the one evaluator, for generic and concrete matrices alike:
 it folds a trie of the terms by Horner's rule, so sums cancel before they
 are multiplied and a common factor is multiplied once (see ``evaluate``).
-Random rational search is only an accelerator for finding counterexamples;
-a witness is returned only when its exact evaluation is nonzero.
+The fold runs over two entry rings, MPoly term dicts for generic matrices
+and plain ``int``/``Fraction`` numbers for constant ones; only the steps
+that touch entries differ between them (``_TermDicts``, ``_Numbers``).
+Random integer search is only an accelerator for finding counterexamples:
+it clears the denominators of p and folds int entries, and a witness is
+returned only when its exact evaluation is nonzero.
 
 The discriminant of a one-variable diagonal model is the determinant of
 the n x n Bezout matrix of its characteristic polynomial and that
@@ -23,7 +27,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import add, mul
 
 from .freetrace import TracePoly
 from .mpoly import MPoly, PolyMatrix, determinant
@@ -54,6 +60,175 @@ def rational_matrix(rows) -> PolyMatrix:
     return PolyMatrix([[MPoly.const(x) for x in row] for row in rows])
 
 
+class _TermDicts:
+    """The polynomial entry ring of ``_fold``: a scalar or a matrix entry is
+    an MPoly term dict, grown in place, and the matrices of the assignment
+    and the evaluated word prefixes are PolyMatrix values.
+
+    An entry ring gives ``_fold`` the zero and constant scalars, the
+    identity matrix and the five steps that touch entries: the prefix
+    product U X, the trace tr(U X), the trace edge acc + t s, the letter
+    edge out + X (M + s I), and M + s I at the root.  A step may grow acc,
+    out or M in place and returns the result; it never changes a matrix of
+    the assignment or a prefix value.
+    """
+
+    identity = staticmethod(PolyMatrix.identity)
+    product = staticmethod(mul)
+
+    @staticmethod
+    def zero():
+        return {}
+
+    @staticmethod
+    def constant(c):
+        return {MPoly.UNIT_KEY: c}
+
+    @staticmethod
+    def trace_product(u, x):
+        """tr(U X) as the sum of U[h][k] * X[k][h]; U X itself is never formed."""
+        out = {}
+        x = x.rows
+        for h, u_row in enumerate(u.rows):
+            for k, u_entry in enumerate(u_row):
+                x_entry = x[k][h]
+                if u_entry.terms and x_entry.terms:
+                    MPoly.add_product(out, u_entry, x_entry)
+        return out
+
+    @staticmethod
+    def add_trace_edge(acc, t, s):
+        """acc + t s, in place on acc."""
+        MPoly.add_product(acc, MPoly._wrap(t), MPoly._wrap(s))
+        return acc
+
+    @staticmethod
+    def plus_scalar(m, s, n):
+        """M + s I, in place on M when there is one."""
+        if m is None:
+            return [[dict(s) if h == k else {} for k in range(n)] for h in range(n)]
+        if s:
+            for h in range(n):
+                add_terms(m[h][h], s.items())
+        return m
+
+    @staticmethod
+    def add_letter_edge(out, x, m, s, n):
+        """out + X (M + s I), in place on out when there is one."""
+        m = _TermDicts.plus_scalar(m, s, n)
+        if out is None:
+            out = [[{} for _ in range(n)] for _ in range(n)]
+        wrap = MPoly._wrap
+        rows = [[wrap(e) for e in row] for row in m]
+        for out_row, x_row in zip(out, x.rows):
+            for x_entry, row in zip(x_row, rows):
+                if x_entry.terms:
+                    for acc, e in zip(out_row, row):
+                        if e.terms:
+                            MPoly.add_product(acc, x_entry, e)
+        return out
+
+
+class _Numbers:
+    """The number entry ring of ``_fold`` (see ``_TermDicts``): a scalar or
+    a matrix entry is an ``int`` or a ``Fraction``, and a matrix is a list
+    of rows."""
+
+    @staticmethod
+    def identity(n):
+        return [[int(h == k) for k in range(n)] for h in range(n)]
+
+    @staticmethod
+    def zero():
+        return 0
+
+    @staticmethod
+    def constant(c):
+        return c
+
+    @staticmethod
+    def product(u, x):
+        cols = list(zip(*x))
+        return [[sum(map(mul, row, col)) for col in cols] for row in u]
+
+    @staticmethod
+    def trace_product(u, x):
+        """tr(U X) as the sum of U[h][k] * X[k][h]."""
+        return sum(map(mul, chain.from_iterable(u), chain.from_iterable(zip(*x))))
+
+    @staticmethod
+    def add_trace_edge(acc, t, s):
+        return acc + t * s
+
+    @staticmethod
+    def plus_scalar(m, s, n):
+        if m is None:
+            return [[s if h == k else 0 for k in range(n)] for h in range(n)]
+        if s:
+            for h in range(n):
+                m[h][h] += s
+        return m
+
+    @staticmethod
+    def add_letter_edge(out, x, m, s, n):
+        product = _Numbers.product(x, _Numbers.plus_scalar(m, s, n))
+        if out is None:
+            return product
+        return [list(map(add, a, b)) for a, b in zip(out, product)]
+
+
+def _fold(p: TracePoly, matrices, n: int, ring) -> list:
+    """The rows of p at ``matrices``, in the entry ring ``ring``
+    (``_TermDicts`` or ``_Numbers``); see ``evaluate``."""
+    identity = ring.identity(n)
+    prefixes = {}   # a trie of evaluated prefixes: letter -> (value, longer prefixes)
+
+    def word_value(w):
+        """Walk the longest evaluated prefix of w, then extend it letter by letter."""
+        value, longer = identity, prefixes
+        for letter in w:
+            node = longer.get(letter)
+            if node is None:
+                node = longer[letter] = (ring.product(value, matrices[letter]), {})
+            value, longer = node
+        return value
+
+    # the term trie: node 0 is the root, node i > 0 hangs from parent[i] by
+    # edge[i], a letter (int) or a trace word (tuple)
+    children = {}   # (node, edge) -> child node
+    parent, edge, scalar = [None], [None], [ring.zero()]
+    for (w, traces), c in p.terms.items():
+        node = 0
+        for label in (*w, *traces):
+            child = children.get((node, label))
+            if child is None:
+                child = children[node, label] = len(parent)
+                parent.append(node)
+                edge.append(label)
+                scalar.append(ring.zero())
+            node = child
+        scalar[node] = ring.constant(c)
+    del children
+
+    matrix = [None] * len(parent)             # node -> its matrix part
+    trace_values = {(): ring.constant(n)}     # trace word -> its trace
+    for node in range(len(parent) - 1, 0, -1):
+        s, m, label, up = scalar[node], matrix[node], edge[node], parent[node]
+        scalar[node] = matrix[node] = None
+        if type(label) is tuple:
+            # a trace edge: the node and everything below it are scalars
+            if not s:
+                continue
+            t = trace_values.get(label)
+            if t is None:
+                t = trace_values[label] = ring.trace_product(word_value(label[:-1]),
+                                                             matrices[label[-1]])
+            scalar[up] = ring.add_trace_edge(scalar[up], t, s)
+        elif m is not None or s:
+            matrix[up] = ring.add_letter_edge(matrix[up], matrices[label], m, s, n)
+    return ring.plus_scalar(matrix[0], scalar[0], n)
+
+
 def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
     """Evaluate p with each variable mapped to an n x n PolyMatrix.
 
@@ -74,10 +249,16 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
     So the root's matrix plus its scalar times I is the sum of the terms.
     Sums cancel at inner nodes before they are multiplied, and a factor
     common to a subtree is multiplied once.  Each distinct tr(t) is
-    computed once per call from the value of t without its last letter,
-    found in a trie of evaluated word prefixes.  Nodes are made after their
-    parents, so the fold visits them in reverse order of creation, with no
-    recursion.
+    computed once per call, as tr(U X) with U the value of t without its
+    last letter, found in a trie of evaluated word prefixes, and X that
+    letter's matrix.  Nodes are made after their parents, so the fold
+    visits them in reverse order of creation, with no recursion.
+
+    The fold runs over one of two entry rings, which differ only in the
+    steps that touch entries.  When every assigned entry is a constant,
+    the entries are plain ``int``/``Fraction`` numbers (``_Numbers``);
+    otherwise they are MPoly term dicts, each sum grown in place
+    (``_TermDicts``).
     """
     for i, m in assignment.items():
         if m.size != n:
@@ -85,89 +266,22 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
     missing = sorted(v for v in p.variables() if v not in assignment)
     if missing:
         raise ValueError(f"variable x{missing[0]} has no matrix assigned")
+    numbers = {i: [[e.constant_value() for e in row] for row in m.rows]
+               for i, m in assignment.items()}
+    if any(e is None for rows in numbers.values() for row in rows for e in row):
+        wrap = MPoly._wrap
+        return PolyMatrix([[wrap(e) for e in row]
+                           for row in _fold(p, assignment, n, _TermDicts)])
+    return PolyMatrix(_fold(p, numbers, n, _Numbers))
 
-    identity = PolyMatrix.identity(n)
-    prefixes = {}   # a trie of evaluated prefixes: letter -> (value, longer prefixes)
 
-    def word_value(w):
-        """Walk the longest evaluated prefix of w, then extend it letter by letter."""
-        value, longer = identity, prefixes
-        for letter in w:
-            node = longer.get(letter)
-            if node is None:
-                node = longer[letter] = (value * assignment[letter], {})
-            value, longer = node
-        return value
-
-    def trace_value(w):
-        """tr(w) as the sum of U[h][k] * X[k][h], with U the value of w
-        without its last letter and X that letter's matrix; the value of w
-        itself is never formed."""
-        u, x = word_value(w[:-1]).rows, assignment[w[-1]].rows
-        out = {}
-        for h, u_row in enumerate(u):
-            for k, u_entry in enumerate(u_row):
-                x_entry = x[k][h]
-                if u_entry.terms and x_entry.terms:
-                    MPoly.add_product(out, u_entry, x_entry)
-        return MPoly._wrap(out)
-
-    # the term trie: node 0 is the root, node i > 0 hangs from parent[i] by
-    # edge[i], a letter (int) or a trace word (tuple)
-    children = {}   # (node, edge) -> child node
-    parent, edge, scalar = [None], [None], [{}]
-    for (w, traces), c in p.terms.items():
-        node = 0
-        for label in (*w, *traces):
-            child = children.get((node, label))
-            if child is None:
-                child = children[node, label] = len(parent)
-                parent.append(node)
-                edge.append(label)
-                scalar.append({})
-            node = child
-        scalar[node][MPoly.UNIT_KEY] = c
-    del children
-
-    matrix = [None] * len(parent)   # node -> its matrix part, rows of term dicts
-    trace_values = {}               # trace word -> its trace
-    wrap = MPoly._wrap
-    for node in range(len(parent) - 1, 0, -1):
-        s, m, label, up = scalar[node], matrix[node], edge[node], parent[node]
-        scalar[node] = matrix[node] = None
-        if type(label) is tuple:
-            # a trace edge: the node and everything below it are scalars
-            if not s:
-                continue
-            if not label:
-                add_terms(scalar[up], s.items(), n)
-                continue
-            t = trace_values.get(label)
-            if t is None:
-                t = trace_values[label] = trace_value(label)
-            MPoly.add_product(scalar[up], t, wrap(s))
-            continue
-        if m is None:
-            if not s:
-                continue
-            m = [[s if h == k else {} for k in range(n)] for h in range(n)]
-        elif s:
-            for h in range(n):
-                add_terms(m[h][h], s.items())
-        out = matrix[up]
-        if out is None:
-            out = matrix[up] = [[{} for _ in range(n)] for _ in range(n)]
-        rows = [[wrap(e) for e in row] for row in m]
-        for out_row, x_row in zip(out, assignment[label].rows):
-            for x_entry, row in zip(x_row, rows):
-                if x_entry.terms:
-                    for acc, e in zip(out_row, row):
-                        if e.terms:
-                            MPoly.add_product(acc, x_entry, e)
-    out = matrix[0] or [[{} for _ in range(n)] for _ in range(n)]
-    for h in range(n):
-        add_terms(out[h][h], scalar[0].items())
-    return PolyMatrix([[wrap(e) for e in row] for row in out])
+def _integral(p: TracePoly) -> TracePoly:
+    """p scaled by the lcm of its coefficient denominators: it vanishes
+    exactly where p does, and its evaluations run over int.  Each scaled
+    coefficient is formed in int arithmetic, with no Fraction product."""
+    denom = lcm(*(c.denominator for c in p.terms.values()))
+    return TracePoly._wrap({k: c.numerator * (denom // c.denominator)
+                            for k, c in p.terms.items()})
 
 
 def is_trace_identity(p: TracePoly, n: int) -> bool:
@@ -185,8 +299,7 @@ def is_trace_identity(p: TracePoly, n: int) -> bool:
     p is first scaled by the lcm of its coefficient denominators, which does
     not change whether it vanishes, so the evaluation runs over int.
     """
-    denom = lcm(*(c.denominator for c in p.terms.values()))
-    return evaluate(denom * p, generic_assignment(p, n), n).is_zero()
+    return evaluate(_integral(p), generic_assignment(p, n), n).is_zero()
 
 
 def generic_assignment(p: TracePoly, n: int) -> dict:
@@ -205,21 +318,24 @@ def generic_assignment(p: TracePoly, n: int) -> dict:
 def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0):
     """Search for integer matrices, entries in [-3, 3], where p does not vanish.
 
-    Returns {variable: PolyMatrix} with a nonzero exact evaluation, or None.
+    Each trial draws the entries of the variables' matrices from
+    ``random.Random(seed)``, variable by variable in increasing order and
+    row by row, and folds p, its denominators first cleared as in
+    ``is_trace_identity``, over plain ``int`` entries (``evaluate``'s
+    number ring).  Returns {variable: PolyMatrix} for the first trial with
+    a nonzero exact evaluation, or None.
     Finding nothing proves nothing; use is_trace_identity for certainty.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    p = _integral(p)
     rng = random.Random(seed)
     variables = sorted(p.variables())
     for _ in range(trials):
-        assignment = {
-            i: rational_matrix([[rng.randint(-3, 3)
-                                 for _ in range(n)] for _ in range(n)])
-            for i in variables
-        }
-        if not evaluate(p, assignment, n).is_zero():
-            return assignment
+        rows = {i: [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                for i in variables}
+        if any(map(any, _fold(p, rows, n, _Numbers))):
+            return {i: rational_matrix(r) for i, r in rows.items()}
     return None
 
 

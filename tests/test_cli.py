@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tracealg.characters import character_table
 import tracealg
 from tracealg.cli import (CHDEG_MAX_MULTISETS, CHDEG_MAX_NMAX, CHPOLY_MAX_N,
-                          STRATA_MAX_N, VERIFY_T_MAX_K, main)
+                          STRATA_MAX_N, VERIFY_MAX_TRIALS, VERIFY_T_MAX_K, main)
 from tracealg.freetrace import MAX_NESTING
 from tracealg.findim import make_algebra, weighted_semisimple
 from tracealg.jsonio import dump_algebra
@@ -185,8 +185,9 @@ class TestVerify:
 
 
 class TestVerifyBounds:
-    """verify refuses a builtin above its bound, and text nested deeper than
-    freetrace.MAX_NESTING, with exit 2 before any term is built."""
+    """verify refuses a builtin above its bound, text nested deeper than
+    freetrace.MAX_NESTING and a --random count above VERIFY_MAX_TRIALS, with
+    exit 2 before any term is built."""
 
     @pytest.mark.parametrize("poly", [f"builtin:ch{CHPOLY_MAX_N}", f"builtin:T{VERIFY_T_MAX_K}"])
     def test_builtins_at_the_bound_run(self, poly):
@@ -212,6 +213,26 @@ class TestVerifyBounds:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert f"error: --poly: {poly}: {message}" in result.stderr
+
+    def test_random_count_at_the_bound_runs(self):
+        # every one of the trials of a commutator at size 1 vanishes
+        poly = "x1*x2 - x2*x1"
+        result, seconds = run_cli_process(["verify", "--poly", poly, "--size", "1",
+                                           "--random", str(VERIFY_MAX_TRIALS)])
+        assert result.returncode == 0, result.stderr
+        assert seconds < 10.0
+        assert result.stdout == f"identity: {poly} vanishes on all 1x1 matrices\n"
+
+    def test_random_count_above_the_bound_exits_2_at_once(self):
+        # one integer trial of builtin:T8 at size 2 takes 0.2-0.4 s
+        count = VERIFY_MAX_TRIALS + 1
+        result, seconds = run_cli_process(["verify", "--poly", "builtin:T8", "--size", "2",
+                                           "--random", str(count)])
+        assert result.returncode == 2
+        assert seconds < 5.0
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert f"error: --random {count} is above the bound {VERIFY_MAX_TRIALS}" in result.stderr
 
     @pytest.mark.parametrize("argv, code", [(["polarize", "--expr"], 0),
                                             (["verify", "--size", "1", "--poly"], 1)])

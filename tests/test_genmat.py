@@ -11,7 +11,7 @@ from tracealg.chident import ch_multilinear, ch_poly, t_multilinear
 from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
 from tracealg import genmat
 from tracealg.genmat import (_bezout_matrix, _monic_coefficients,
-                             diagonal_model, discriminant_relation, evaluate,
+                             diagonal_model, discriminant_relation, entry_name, evaluate,
                              generic_assignment, generic_diagonal_matrix,
                              generic_discriminant, generic_matrix,
                              is_trace_identity, random_counterexample,
@@ -204,6 +204,48 @@ def test_the_factored_evaluation_equals_the_term_sum(p, n):
     assert evaluate(p, assignment, n) == reference_evaluate(p, assignment, n)
 
 
+# -- integer trials against the MPoly-constant oracle ----------------------------
+
+def reference_random_counterexample(p: TracePoly, n: int, trials: int, seed: int):
+    """The oracle trial loop: the seeded draws of ``random_counterexample``,
+    each trial's matrices as MPoly constants (``rational_matrix``), and p,
+    its denominators kept, evaluated term by term (``reference_evaluate``)."""
+    rng = random.Random(seed)
+    variables = sorted(p.variables())
+    for _ in range(trials):
+        assignment = {
+            i: rational_matrix([[rng.randint(-3, 3)
+                                 for _ in range(n)] for _ in range(n)])
+            for i in variables
+        }
+        if not reference_evaluate(p, assignment, n).is_zero():
+            return assignment
+    return None
+
+
+def _verify_bases():
+    """The bases of the verify benchmark, each at its largest identity size
+    and one size up, where it is not an identity, as (polynomial, size,
+    holds)."""
+    hall = parse_trace_poly("(x1*x2 - x2*x1)^2*x3 - x3*(x1*x2 - x2*x1)^2")
+    bases = ([(f"ch{n}", ch_poly(n), n) for n in range(1, 5)]
+             + [(f"T{k}", t_multilinear(k), k - 1) for k in range(2, 6)]
+             + [(f"chm{n}", ch_multilinear(n), n) for n in range(2, 5)]
+             + [("s4", _standard_polynomial(4), 2), ("hall", hall, 2)])
+    return [pytest.param(p, m, m == n, id=f"{label}@{m}")
+            for label, p, n in bases for m in (n, n + 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p,n,holds", _verify_bases())
+def test_integer_trials_return_the_oracle_witness(p, n, holds, seed):
+    for q in (p, Fraction(5, 13) * p):
+        found = random_counterexample(q, n, trials=3, seed=seed)
+        assert found == reference_random_counterexample(q, n, 3, seed)
+        if holds:
+            assert found is None
+
+
 # -- one diagonal matrix against the all-generic oracle --------------------------
 
 letters = st.integers(1, 3)
@@ -289,6 +331,43 @@ def evaluation_cases(draw):
 def test_evaluate_matches_the_term_by_term_oracle(case):
     n, p, assignment = case
     assert evaluate(p, assignment, n) == reference_evaluate(p, assignment, n)
+
+
+# -- the number ring against the specialized generic evaluation -------------------
+
+def specialized_generic_evaluation(p: TracePoly, point, n: int) -> PolyMatrix:
+    """p on full generic matrices for the variables of ``point``, each entry
+    then evaluated by ``MPoly.evaluate`` at the point's numbers."""
+    generic = evaluate(p, {i: generic_matrix(i, n) for i in point}, n)
+    values = {entry_name(i, h, k): value for i, rows in point.items()
+              for h, row in enumerate(rows, 1) for k, value in enumerate(row, 1)}
+    return PolyMatrix([[e.evaluate(values) for e in row] for row in generic.rows])
+
+
+@st.composite
+def constant_cases(draw):
+    """A size, a polynomial and a point: int or Fraction entries for the
+    variables of p and one more, some matrices zero.  The polynomial (see
+    ``trace_polynomials``) sometimes gets a scalar term, a tr(1) term and a
+    term of the empty word times a trace."""
+    n = draw(st.integers(1, 3))
+    p = draw(trace_polynomials(n))
+    for extra in (TracePoly.one(), formal_trace(TracePoly.one()),
+                  TracePoly.monomial((), [draw(words)])):
+        if draw(st.booleans()):
+            p = p + draw(coefficients) * extra
+    matrices = st.one_of(st.just([[0] * n for _ in range(n)]),
+                         st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+    return n, p, {i: draw(matrices) for i in p.variables() | {draw(letters)}}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(constant_cases())
+def test_constant_matrices_agree_with_the_specialized_generic_evaluation(case):
+    n, p, point = case
+    constants = {i: rational_matrix(rows) for i, rows in point.items()}
+    assert evaluate(p, constants, n) == specialized_generic_evaluation(p, point, n)
 
 
 class TestOneDiagonalMatrix:
