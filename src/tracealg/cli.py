@@ -73,11 +73,15 @@ def polarize(expr):
 VERIFY_T_MAX_K = 8
 
 # verify --random N draws N integer trials before the symbolic check, each
-# one fold of the terms over int entries.  The bound is the number of trials
-# verify itself draws for a witness after a failed symbolic check: one trial
-# of builtin:T8 at size 2 takes 0.2-0.4 s, and --random 200 on it 50-55 s in
-# all, about 5 s of it the symbolic check (Python 3.11.7, 2 cores)
+# one fold of the terms over int entries.  The bound limits the count, not
+# the cost, which grows with the size: one trial of builtin:T8 at size 2
+# takes 0.2-0.4 s, and --random 200 on it 50-55 s in all, about 5 s of it
+# the symbolic check (Python 3.11.7, 2 cores)
 VERIFY_MAX_TRIALS = 200
+
+# after a failed symbolic check, verify draws this many integer trials for
+# a printable witness
+VERIFY_WITNESS_TRIALS = 200
 
 
 def _builtin_poly(name: str) -> TracePoly:
@@ -127,7 +131,7 @@ def verify(poly, size, trials, seed):
         except OverflowError as exc:
             _fail_usage(f"--poly: too long for generic matrices: {exc}")
         if not holds:
-            witness = genmat.random_counterexample(p, size, trials=VERIFY_MAX_TRIALS,
+            witness = genmat.random_counterexample(p, size, trials=VERIFY_WITNESS_TRIALS,
                                                    seed=seed)
             if witness is None:
                 # fall back to generic matrices as the witness description

@@ -7,9 +7,10 @@ matrices may be a generic diagonal one (see ``is_trace_identity``).
 ``evaluate`` is the one evaluator, for generic and concrete matrices alike:
 it folds a trie of the terms by Horner's rule, so sums cancel before they
 are multiplied and a common factor is multiplied once (see ``evaluate``).
-The fold runs over two entry rings, MPoly term dicts for generic matrices
-and plain ``int``/``Fraction`` numbers for constant ones; only the steps
-that touch entries differ between them (``_TermDicts``, ``_Numbers``).
+The fold runs over two entry rings, which differ only in the steps that
+touch entries: MPoly term dicts (``_TermDicts``), which ``evaluate`` uses,
+and plain ``int``/``Fraction`` numbers (``_Numbers``), which the integer
+trials of ``random_counterexample`` use.
 Random integer search is only an accelerator for finding counterexamples:
 it clears the denominators of p and folds int entries, and a witness is
 returned only when its exact evaluation is nonzero.
@@ -254,11 +255,9 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
     letter's matrix.  Nodes are made after their parents, so the fold
     visits them in reverse order of creation, with no recursion.
 
-    The fold runs over one of two entry rings, which differ only in the
-    steps that touch entries.  When every assigned entry is a constant,
-    the entries are plain ``int``/``Fraction`` numbers (``_Numbers``);
-    otherwise they are MPoly term dicts, each sum grown in place
-    (``_TermDicts``).
+    Here the fold's entries are MPoly term dicts, each sum grown in place
+    (``_TermDicts``); ``random_counterexample`` runs the same fold over
+    plain ``int`` entries (``_Numbers``).
     """
     for i, m in assignment.items():
         if m.size != n:
@@ -266,13 +265,9 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
     missing = sorted(v for v in p.variables() if v not in assignment)
     if missing:
         raise ValueError(f"variable x{missing[0]} has no matrix assigned")
-    numbers = {i: [[e.constant_value() for e in row] for row in m.rows]
-               for i, m in assignment.items()}
-    if any(e is None for rows in numbers.values() for row in rows for e in row):
-        wrap = MPoly._wrap
-        return PolyMatrix([[wrap(e) for e in row]
-                           for row in _fold(p, assignment, n, _TermDicts)])
-    return PolyMatrix(_fold(p, numbers, n, _Numbers))
+    wrap = MPoly._wrap
+    return PolyMatrix([[wrap(e) for e in row]
+                       for row in _fold(p, assignment, n, _TermDicts)])
 
 
 def _integral(p: TracePoly) -> TracePoly:
@@ -321,9 +316,9 @@ def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0)
     Each trial draws the entries of the variables' matrices from
     ``random.Random(seed)``, variable by variable in increasing order and
     row by row, and folds p, its denominators first cleared as in
-    ``is_trace_identity``, over plain ``int`` entries (``evaluate``'s
-    number ring).  Returns {variable: PolyMatrix} for the first trial with
-    a nonzero exact evaluation, or None.
+    ``is_trace_identity``, over plain ``int`` entries: ``evaluate``'s fold
+    in the number ring ``_Numbers``.  Returns {variable: PolyMatrix} for
+    the first trial with a nonzero exact evaluation, or None.
     Finding nothing proves nothing; use is_trace_identity for certainty.
     """
     if trials < 1:
