@@ -8,9 +8,14 @@ matrices may be a generic diagonal one (see ``is_trace_identity``).
 it folds a trie of the terms by Horner's rule, so sums cancel before they
 are multiplied and a common factor is multiplied once (see ``evaluate``).
 The fold runs over two entry rings, which differ only in the steps that
-touch entries: MPoly term dicts (``_TermDicts``), which ``evaluate`` uses,
-and plain ``int``/``Fraction`` numbers (``_Numbers``), which the integer
-trials of ``random_counterexample`` use.
+touch entries: term dicts in monomial keys private to the call
+(``_TermDicts``), which ``evaluate`` and ``is_trace_identity`` use, and
+plain ``int``/``Fraction`` numbers (``_Numbers``), which the integer
+trials of ``random_counterexample`` use.  The private keys give each entry
+variable a field of w = bit_length(D E) bits, D the largest term degree of
+p and E the largest exponent in an entry; no monomial the fold forms has
+an exponent above D E, so keys multiply by plain ``+`` with no carry and
+no guard check, and they are only as wide as the input needs (``_pack``).
 Random integer search is only an accelerator for finding counterexamples:
 it clears the denominators of p and folds int entries, and a witness is
 returned only when its exact evaluation is nonzero.
@@ -33,7 +38,7 @@ from math import lcm
 from operator import add, mul
 
 from .freetrace import TracePoly
-from .mpoly import MPoly, PolyMatrix, determinant
+from .mpoly import EXPONENT_BOUND, MPoly, PolyMatrix, _overflow, determinant
 from .sparse import add_terms
 
 
@@ -61,10 +66,45 @@ def rational_matrix(rows) -> PolyMatrix:
     return PolyMatrix([[MPoly.const(x) for x in row] for row in rows])
 
 
+def _add_product(out: dict, a: dict, b: dict) -> None:
+    """out += a * b on term dicts in one call's packed keys (see ``_pack``),
+    in place on out: a product's key is the plain sum of its factors' keys."""
+    if len(a) > len(b):
+        a, b = b, a     # the longer factor in the inner loop, set up once
+    get = out.get
+    b_items = b.items()
+    for k1, c1 in a.items():
+        for k2, c2 in b_items:
+            k = k1 + k2
+            c = c1 * c2
+            old = get(k)
+            if old is None:
+                out[k] = c
+            else:
+                c += old
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+
+
+def _add_matrix_product(out: list, a: list, b: list) -> list:
+    """out += A B on lists of rows of term dicts, in place on out."""
+    for out_row, a_row in zip(out, a):
+        for a_entry, b_row in zip(a_row, b):
+            if a_entry:
+                for acc, b_entry in zip(out_row, b_row):
+                    if b_entry:
+                        _add_product(acc, a_entry, b_entry)
+    return out
+
+
 class _TermDicts:
     """The polynomial entry ring of ``_fold``: a scalar or a matrix entry is
-    an MPoly term dict, grown in place, and the matrices of the assignment
-    and the evaluated word prefixes are PolyMatrix values.
+    a term dict from packed monomial keys private to the call (see
+    ``_pack``) to int or Fraction coefficients, grown in place, and a
+    matrix is a list of rows.  A product's key is the sum of its factors'
+    keys, with no guard check: ``_pack`` makes every field wide enough.
 
     An entry ring gives ``_fold`` the zero and constant scalars, the
     identity matrix and the five steps that touch entries: the prefix
@@ -74,8 +114,9 @@ class _TermDicts:
     the assignment or a prefix value.
     """
 
-    identity = staticmethod(PolyMatrix.identity)
-    product = staticmethod(mul)
+    @staticmethod
+    def identity(n):
+        return [[{0: 1} if h == k else {} for k in range(n)] for h in range(n)]
 
     @staticmethod
     def zero():
@@ -83,24 +124,26 @@ class _TermDicts:
 
     @staticmethod
     def constant(c):
-        return {MPoly.UNIT_KEY: c}
+        return {0: c}
+
+    @staticmethod
+    def product(u, x):
+        return _add_matrix_product([[{} for _ in x] for _ in u], u, x)
 
     @staticmethod
     def trace_product(u, x):
         """tr(U X) as the sum of U[h][k] * X[k][h]; U X itself is never formed."""
         out = {}
-        x = x.rows
-        for h, u_row in enumerate(u.rows):
-            for k, u_entry in enumerate(u_row):
-                x_entry = x[k][h]
-                if u_entry.terms and x_entry.terms:
-                    MPoly.add_product(out, u_entry, x_entry)
+        for u_row, x_col in zip(u, zip(*x)):
+            for u_entry, x_entry in zip(u_row, x_col):
+                if u_entry and x_entry:
+                    _add_product(out, u_entry, x_entry)
         return out
 
     @staticmethod
     def add_trace_edge(acc, t, s):
         """acc + t s, in place on acc."""
-        MPoly.add_product(acc, MPoly._wrap(t), MPoly._wrap(s))
+        _add_product(acc, t, s)
         return acc
 
     @staticmethod
@@ -116,18 +159,9 @@ class _TermDicts:
     @staticmethod
     def add_letter_edge(out, x, m, s, n):
         """out + X (M + s I), in place on out when there is one."""
-        m = _TermDicts.plus_scalar(m, s, n)
         if out is None:
             out = [[{} for _ in range(n)] for _ in range(n)]
-        wrap = MPoly._wrap
-        rows = [[wrap(e) for e in row] for row in m]
-        for out_row, x_row in zip(out, x.rows):
-            for x_entry, row in zip(x_row, rows):
-                if x_entry.terms:
-                    for acc, e in zip(out_row, row):
-                        if e.terms:
-                            MPoly.add_product(acc, x_entry, e)
-        return out
+        return _add_matrix_product(out, x, _TermDicts.plus_scalar(m, s, n))
 
 
 class _Numbers:
@@ -178,9 +212,36 @@ class _Numbers:
         return [list(map(add, a, b)) for a, b in zip(out, product)]
 
 
-def _fold(p: TracePoly, matrices, n: int, ring) -> list:
-    """The rows of p at ``matrices``, in the entry ring ``ring``
-    (``_TermDicts`` or ``_Numbers``); see ``evaluate``."""
+def _term_trie(p: TracePoly) -> tuple:
+    """The term trie of p, as the lists (parent, edge, coefficient).
+
+    Node 0 is the root; node i > 0 hangs from parent[i] by edge[i], a
+    letter (int) or a trace word (tuple).  A term (w, traces) is the path of
+    the letters of w and then the trace words, in key order, and its
+    coefficient sits at the end of that path; coefficient[i] is 0 where no
+    term ends.  Nodes are made after their parents.  The trie depends on p
+    alone, so one trie serves every fold of p (see ``random_counterexample``).
+    """
+    children = {}   # (node, edge) -> child node
+    parent, edge, coefficient = [None], [None], [0]
+    for (w, traces), c in p.terms.items():
+        node = 0
+        for label in (*w, *traces):
+            child = children.get((node, label))
+            if child is None:
+                child = children[node, label] = len(parent)
+                parent.append(node)
+                edge.append(label)
+                coefficient.append(0)
+            node = child
+        coefficient[node] = c
+    return parent, edge, coefficient
+
+
+def _fold(trie: tuple, matrices, n: int, ring) -> list:
+    """The rows of the polynomial whose ``_term_trie`` is ``trie`` at
+    ``matrices``, in the entry ring ``ring`` (``_TermDicts`` or
+    ``_Numbers``); see ``evaluate``."""
     identity = ring.identity(n)
     prefixes = {}   # a trie of evaluated prefixes: letter -> (value, longer prefixes)
 
@@ -194,23 +255,8 @@ def _fold(p: TracePoly, matrices, n: int, ring) -> list:
             value, longer = node
         return value
 
-    # the term trie: node 0 is the root, node i > 0 hangs from parent[i] by
-    # edge[i], a letter (int) or a trace word (tuple)
-    children = {}   # (node, edge) -> child node
-    parent, edge, scalar = [None], [None], [ring.zero()]
-    for (w, traces), c in p.terms.items():
-        node = 0
-        for label in (*w, *traces):
-            child = children.get((node, label))
-            if child is None:
-                child = children[node, label] = len(parent)
-                parent.append(node)
-                edge.append(label)
-                scalar.append(ring.zero())
-            node = child
-        scalar[node] = ring.constant(c)
-    del children
-
+    parent, edge, coefficient = trie
+    scalar = [ring.constant(c) if c else ring.zero() for c in coefficient]
     matrix = [None] * len(parent)             # node -> its matrix part
     trace_values = {(): ring.constant(n)}     # trace word -> its trace
     for node in range(len(parent) - 1, 0, -1):
@@ -230,17 +276,79 @@ def _fold(p: TracePoly, matrices, n: int, ring) -> list:
     return ring.plus_scalar(matrix[0], scalar[0], n)
 
 
+def _degree(p: TracePoly) -> int:
+    """The largest number of letters in one term of p, those of its word and
+    of its trace words together."""
+    return max((len(w) + sum(map(len, traces)) for w, traces in p.terms), default=0)
+
+
+def _pack(matrices, degree: int) -> tuple:
+    """The PolyMatrix values of ``matrices`` as lists of rows of term dicts
+    in keys private to one fold of a polynomial of ``degree`` (``_degree``),
+    returned as (rows by variable, field names, field width).
+
+    The entry variables are numbered in order of first appearance, and
+    variable j gets bits j w to j w + w - 1 of a plain ``int``, with
+    w = max(1, bit_length(D E)), D the degree and E the largest exponent of
+    a variable in an entry (1 for generic matrices, 0 for constants).
+    Every monomial the fold forms is a product of entries along one term's
+    path, at most D of them, so no exponent exceeds D E < 2^w: no field
+    carries into the next, and keys multiply by plain ``+``.  The keys are
+    as wide as the input needs, not as wide as ``mpoly``'s process-wide
+    table of 16-bit fields.
+    """
+    decoded = {}    # mpoly key -> its (name, exponent) pairs
+    for m in matrices.values():
+        for row in m.rows:
+            for entry in row:
+                for key in entry.terms:
+                    if key not in decoded:
+                        decoded[key] = MPoly.decode(key)
+    index = {}      # name -> field number
+    top = 0
+    for pairs in decoded.values():
+        for name, e in pairs:
+            index.setdefault(name, len(index))
+            top = max(top, e)
+    width = max(1, (degree * top).bit_length())
+    local = {key: sum(e << (index[name] * width) for name, e in pairs)
+             for key, pairs in decoded.items()}
+    rows = {i: [[{local[k]: c for k, c in entry.terms.items()} for entry in row]
+                for row in m.rows]
+            for i, m in matrices.items()}
+    return rows, list(index), width
+
+
+def _unpack(rows, names: list, width: int) -> PolyMatrix:
+    """Folded rows in the keys of ``_pack`` as a PolyMatrix: each monomial
+    goes through ``MPoly.monomial``, which raises ``OverflowError`` on an
+    exponent of 2^15 or more."""
+    mask = (1 << width) - 1
+
+    def term(key, c):
+        pairs = []
+        for name in names:
+            if not key:
+                break
+            if key & mask:
+                pairs.append((name, key & mask))
+            key >>= width
+        return MPoly.monomial(pairs, c)
+
+    return PolyMatrix([[MPoly.sum(term(k, c) for k, c in entry.items())
+                        for entry in row] for row in rows])
+
+
 def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
     """Evaluate p with each variable mapped to an n x n PolyMatrix.
 
     Words evaluate by matrix product, trace symbols by the matrix trace,
     and the empty trace symbol tr(1) by the scalar n.
 
-    The terms are read into one trie, each key (w, traces) as the path of
-    the letters of w and then the trace words, in key order; a term's
-    coefficient sits at the end of its path.  Every node stands for the sum
-    over the terms below it of their coefficient times the rest of their
-    path, and the trie is folded from the leaves up (Horner's rule):
+    The terms are read into one trie (``_term_trie``).  Every node stands
+    for the sum over the terms below it of their coefficient times the rest
+    of their path, and the trie is folded from the leaves up (Horner's
+    rule):
 
     - a trace edge t adds tr(t) times the child's sum to its parent's
       scalar, since traces are scalars and commute with everything;
@@ -255,19 +363,23 @@ def evaluate(p: TracePoly, assignment, n: int) -> PolyMatrix:
     letter's matrix.  Nodes are made after their parents, so the fold
     visits them in reverse order of creation, with no recursion.
 
-    Here the fold's entries are MPoly term dicts, each sum grown in place
-    (``_TermDicts``); ``random_counterexample`` runs the same fold over
-    plain ``int`` entries (``_Numbers``).
+    The matrices of p's variables are first packed into monomial keys
+    private to the call, only as wide as p's degree and their exponents
+    need (``_pack``), and the fold runs over term dicts in those keys
+    (``_TermDicts``); the rows are unpacked into MPoly keys at the end,
+    which raises ``OverflowError`` if an exponent of the result reaches
+    2^15.  ``random_counterexample`` runs the same fold over plain ``int``
+    entries (``_Numbers``).
     """
     for i, m in assignment.items():
         if m.size != n:
             raise ValueError(f"matrix for x{i} has size {m.size}, expected {n}")
-    missing = sorted(v for v in p.variables() if v not in assignment)
+    variables = sorted(p.variables())
+    missing = [v for v in variables if v not in assignment]
     if missing:
         raise ValueError(f"variable x{missing[0]} has no matrix assigned")
-    wrap = MPoly._wrap
-    return PolyMatrix([[wrap(e) for e in row]
-                       for row in _fold(p, assignment, n, _TermDicts)])
+    rows, names, width = _pack({i: assignment[i] for i in variables}, _degree(p))
+    return _unpack(_fold(_term_trie(p), rows, n, _TermDicts), names, width)
 
 
 def _integral(p: TracePoly) -> TracePoly:
@@ -279,22 +391,42 @@ def _integral(p: TracePoly) -> TracePoly:
                             for k, c in p.terms.items()})
 
 
+def _refuse_long_terms(p: TracePoly) -> None:
+    """Raise mpoly's ``OverflowError`` if a term of p holds 2^15 or more
+    occurrences of one variable: the generic evaluation of such a term has
+    a monomial with an exponent that MPoly keys cannot hold (the product of
+    the (1,1) entries along its path)."""
+    for w, traces in p.terms:
+        if (len(w) + sum(map(len, traces)) >= EXPONENT_BOUND
+                and max(Counter(chain(w, *traces)).values()) >= EXPONENT_BOUND):
+            raise _overflow()
+
+
 def is_trace_identity(p: TracePoly, n: int) -> bool:
     """Exact symbolic check that p vanishes identically on n x n matrices.
 
     The variable with the most letter occurrences in p (the smallest index
     among ties) gets a generic diagonal matrix D, every other variable a
-    full generic matrix.  The check keeps its strength (Procesi 1976):
-    p(g X g^-1) = g p(X) g^-1 for every invertible g, and matrices with
-    distinct eigenvalues, each conjugate to a diagonal one, are Zariski-dense
-    in M_n; so p vanishes on all of M_n^k iff p(D, X_2, ..., X_k) is the
-    zero polynomial.  Only one matrix may be made diagonal: two diagonal
-    matrices commute, and x1*x2 - x2*x1 would pass.
+    full generic matrix (``generic_assignment``).  The check keeps its
+    strength (Procesi 1976): p(g X g^-1) = g p(X) g^-1 for every invertible
+    g, and matrices with distinct eigenvalues, each conjugate to a diagonal
+    one, are Zariski-dense in M_n; so p vanishes on all of M_n^k iff
+    p(D, X_2, ..., X_k) is the zero polynomial.  Only one matrix may be made
+    diagonal: two diagonal matrices commute, and x1*x2 - x2*x1 would pass.
 
-    p is first scaled by the lcm of its coefficient denominators, which does
-    not change whether it vanishes, so the evaluation runs over int.
+    A term with 2^15 or more occurrences of one variable is refused up
+    front with ``OverflowError``, before any fold (``_refuse_long_terms``).
+    p is then scaled by the lcm of its coefficient denominators, which does
+    not change whether it vanishes, so the evaluation runs over int.  The
+    generic matrices are packed into keys private to the call, with fields
+    of w = bit_length(D) bits for p's degree D (``_pack``, where E = 1), and
+    ``evaluate``'s fold runs on them; its rows are tested for zero as they
+    are, with no MPoly built.
     """
-    return evaluate(_integral(p), generic_assignment(p, n), n).is_zero()
+    _refuse_long_terms(p)
+    p = _integral(p)
+    rows = _pack(generic_assignment(p, n), _degree(p))[0]
+    return not any(map(any, _fold(_term_trie(p), rows, n, _TermDicts)))
 
 
 def generic_assignment(p: TracePoly, n: int) -> dict:
@@ -317,19 +449,21 @@ def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0)
     ``random.Random(seed)``, variable by variable in increasing order and
     row by row, and folds p, its denominators first cleared as in
     ``is_trace_identity``, over plain ``int`` entries: ``evaluate``'s fold
-    in the number ring ``_Numbers``.  Returns {variable: PolyMatrix} for
-    the first trial with a nonzero exact evaluation, or None.
+    in the number ring ``_Numbers``, on one term trie built once per call.
+    Returns {variable: PolyMatrix} for the first trial with a nonzero exact
+    evaluation, or None.
     Finding nothing proves nothing; use is_trace_identity for certainty.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = _integral(p)
+    trie = _term_trie(p)
     rng = random.Random(seed)
     variables = sorted(p.variables())
     for _ in range(trials):
         rows = {i: [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
                 for i in variables}
-        if any(map(any, _fold(p, rows, n, _Numbers))):
+        if any(map(any, _fold(trie, rows, n, _Numbers))):
             return {i: rational_matrix(r) for i, r in rows.items()}
     return None
 

@@ -14,6 +14,13 @@ Fields are assigned to names in first-use order by an append-only table,
 shared by the whole process (threads included) and never cleared, since
 every live key is read against it.  Code outside this module reads a key
 only through ``MPoly.decode``.
+
+In a long-lived process the table grows with every name ever used, and so
+does the width of a key.  ``genmat``'s trace-polynomial fold therefore does
+not multiply in this packing: it decodes its input matrices into keys
+private to the call, packed only as wide as the input needs, and comes
+back through ``MPoly.monomial`` (which keeps the 2^15 bound) only for the
+result of ``genmat.evaluate``.
 """
 from __future__ import annotations
 

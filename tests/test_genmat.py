@@ -1,5 +1,6 @@
 """Evaluation on matrices, identity checking, diagonal models."""
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -174,6 +175,96 @@ class TestIsTraceIdentity:
         out = evaluate(p, {1: generic_matrix(1, 1)}, 1)
         assert out == PolyMatrix([[MPoly.var("xi1_1_1", 3000)]])
         assert evaluate(p, {1: rational_matrix([[-1]])}, 1) == PolyMatrix.identity(1)
+
+
+# -- keys private to one fold, packed as wide as the input needs ------------------
+
+# D * E at 2^w - 1 and at 2^w, with D the largest term degree and E the
+# largest exponent in an entry: the field width w = bit_length(D * E) is
+# tight at the first and grows by one at the second
+WIDTH_EDGES = [1, 3, 4, 7, 8, 15, 16]
+
+
+def _carry_partner(d):
+    """x1^d - x1^(d - 2^v) * x2 with 2^v <= d < 2^(v+1): the two terms share
+    a key if x1's field is v bits wide and x2's comes next, so a field one
+    bit too narrow cancels them, at size 1, into a false identity."""
+    v = d.bit_length() - 1
+    return TracePoly.word([1] * d) - TracePoly.word([1] * (d - 2 ** v) + [2])
+
+
+def _power_matrix(e, n):
+    """An n x n matrix of distinct variables, each diagonal one raised to
+    the power e, and the first diagonal entry also times w_extra^e."""
+    rows = [[MPoly.var(f"w{h}_{k}", e if h == k else 1) for k in range(n)]
+            for h in range(n)]
+    rows[0][0] = rows[0][0] * MPoly.var("w_extra", e)
+    return PolyMatrix(rows)
+
+
+class TestLocalKeys:
+    @pytest.mark.parametrize("d", WIDTH_EDGES)
+    def test_a_carry_would_cancel_into_a_false_identity(self, d):
+        for p in (_carry_partner(d), _carry_partner(d).substitute({1: x(2), 2: x(1)})):
+            assert is_trace_identity(p, 1) is all_generic_verdict(p, 1) is False
+
+    @pytest.mark.parametrize("d", WIDTH_EDGES)
+    def test_generic_fields_at_the_width_edges(self, d):
+        # w - tr(w) has degree d and is an identity at size 1 only
+        p = ch_poly(1).substitute({1: TracePoly.word([1] * (d - d // 2) + [2] * (d // 2))})
+        for n in (1, 2):
+            assert is_trace_identity(p, n) is all_generic_verdict(p, n) is (n == 1)
+            for q in (p, _carry_partner(d)):
+                assignment = generic_assignment(q, n)
+                assert evaluate(q, assignment, n) == reference_evaluate(q, assignment, n)
+
+    @pytest.mark.parametrize("d,e", [(d, e) for e in (1, 2, 3, 4, 5) for d in range(1, 17)
+                                     if d * e in WIDTH_EDGES])
+    def test_entries_with_exponents_above_one(self, d, e):
+        for n in (1, 2):
+            assignment = {1: _power_matrix(e, n), 2: generic_matrix(2, n)}
+            for p in (TracePoly.word([1] * d),
+                      _carry_partner(d),
+                      formal_trace(TracePoly.word([1] * (d - 1))) * x(2) + x(1) * x(2)):
+                assert evaluate(p, assignment, n) == reference_evaluate(p, assignment, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_one_matrix_shared_by_two_letters(self, d):
+        # both letters read the same entries, so an exponent counts the
+        # letters of both: the width must come from the whole degree
+        for n in (1, 2):
+            for m in (generic_matrix(1, n), _power_matrix(2, n)):
+                for p in (TracePoly.word([1] * d + [2] * d),
+                          TracePoly.word([1] * d + [2] * d) - TracePoly.word([2] * d + [1] * d),
+                          formal_trace(TracePoly.word([1] * d)) * TracePoly.word([2] * d)):
+                    got = evaluate(p, {1: m, 2: m}, n)
+                    assert got == reference_evaluate(p, {1: m, 2: m}, n)
+                    assert got == evaluate(p.substitute({1: x(1), 2: x(1)}), {1: m}, n)
+
+
+class TestExponentRefusal:
+    def test_a_long_term_is_refused_before_any_fold(self):
+        p = TracePoly.word([1] * 2 ** 15 + [2])
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="2\\^15"):
+            is_trace_identity(p, 2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_occurrences_count_the_word_and_the_trace_words(self):
+        p = TracePoly.word([1] * 2 ** 14) * formal_trace(TracePoly.word([1] * 2 ** 14))
+        with pytest.raises(OverflowError, match="2\\^15"):
+            is_trace_identity(p, 1)
+
+    def test_one_below_the_bound_is_decided(self):
+        assert is_trace_identity(TracePoly.word([1] * (2 ** 15 - 1)), 1) is False
+
+    def test_evaluate_refuses_a_result_exponent_at_the_bound(self):
+        half = PolyMatrix([[MPoly.var("x", 2 ** 14)]])
+        assert evaluate(x(1), {1: half}, 1) == half
+        with pytest.raises(OverflowError, match="2\\^15"):
+            evaluate(x(1) * x(1), {1: half}, 1)
+        with pytest.raises(OverflowError, match="2\\^15"):
+            evaluate(TracePoly.word([1] * 2 ** 15), {1: generic_matrix(1, 1)}, 1)
 
 
 def _standard_polynomial(k):
@@ -365,7 +456,7 @@ def constant_cases(draw):
 @given(constant_cases())
 def test_constant_matrices_agree_with_the_specialized_generic_evaluation(case):
     n, p, point = case
-    numbers = PolyMatrix(genmat._fold(p, point, n, genmat._Numbers))
+    numbers = PolyMatrix(genmat._fold(genmat._term_trie(p), point, n, genmat._Numbers))
     assert numbers == specialized_generic_evaluation(p, point, n)
 
 
