@@ -172,10 +172,11 @@ def kernel(path):
         click.echo("  [" + ", ".join(str(c) for c in row) + "]")
 
 
-# the CH recursion of algebra chdeg builds 55-80 thousand basis multisets a
-# second on 13-17 basis elements: 77519 (M3 + M2 with weights 1, 2) take
-# about 1.2 s and 100946 (M4 + M1 with weights 1, 2) about 1.8 s; M4 with
-# its trace doubled needs 735470 (Python 3.11.7, 2 cores)
+# the CH recursion of algebra chdeg builds 300-450 thousand basis multisets
+# a second on 13-17 basis elements, most of whose values vanish: 77519
+# (M3 + M2 with weights 1, 2) take about 0.2 s and 100946 (M4 + M1 with
+# weights 1, 2) about 0.25 s, in process; M4 with its trace doubled needs
+# 735470 (Python 3.11.7, 2 cores)
 CHDEG_MAX_MULTISETS = 100000
 # each n up to --nmax other than t(1) costs a diagnostic line: the trace-0
 # algebra prints 0.13 MB in 0.2 s at --nmax 5000 and 2.9 MB in 1 s at 10^5;

@@ -3,8 +3,12 @@
 An algebra is a basis u_1..u_d, sparse structure constants for u_i u_j, a
 unit vector and a trace vector t(u_i).  Construction validates associativity,
 the unit law and trace symmetry exhaustively and reports a witness on
-failure.  Subspaces are kept in reduced row echelon form so equality is
-decidable and membership is a reduction against the pivot rows.
+failure.  Every product of two basis elements, the Gram matrix t(u_i u_j)
+and the validation are read off the structure constants.  Subspaces are
+kept in reduced row echelon form, with ``int`` entries where they are
+integral, so equality is decidable and membership is a comparison with the
+sum of the rows that a vector's pivot entries pick, in integer arithmetic
+wherever the rows and the vector are integral.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from . import linalg
-from .sparse import exact
+from .sparse import add_terms, exact
 
 
 class AlgebraValidationError(ValueError):
@@ -31,9 +35,13 @@ class Subspace:
     """Subspace of Q^d, canonical reduced-row-echelon basis.
 
     ``rows`` must be the canonical reduced row echelon form that
-    ``from_vectors`` and ``whole`` build, () for the zero subspace:
-    membership and the quotient projection reduce a vector against the
-    rows' pivots and rely on it.
+    ``from_vectors`` and ``whole`` build, () for the zero subspace: the rref
+    rows with each entry normalized by ``sparse.exact``, so an integral
+    entry is an ``int`` and any other a ``Fraction``.  The rows compare and
+    hash equal to the ``Fraction`` rows of ``linalg.rref``.  Membership
+    compares a vector with the sum of rows its pivot entries pick, and the
+    quotient projection reduces a vector against the rows' pivots; both rely
+    on this form.
     """
 
     ambient: int
@@ -42,7 +50,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient: int, vectors) -> "Subspace":
         ech, _ = linalg.rref(vectors)
-        return cls(ambient, tuple(tuple(r) for r in ech))
+        return cls(ambient, tuple(tuple(map(exact, r)) for r in ech))
 
     @classmethod
     def whole(cls, ambient: int) -> "Subspace":
@@ -54,11 +62,11 @@ class Subspace:
 
     @cached_property
     def _reducers(self) -> tuple:
-        """(pivot, other nonzero (column, entry) pairs) for each row, the
-        entries normalized by ``exact``; the entry at the pivot is 1."""
+        """(pivot, other nonzero (column, entry) pairs) for each row; the
+        entry at the pivot is 1."""
         out = []
         for row in self.rows:
-            entries = [(j, exact(x)) for j, x in enumerate(row) if x]
+            entries = [(j, x) for j, x in enumerate(row) if x]
             out.append((entries[0][0], tuple(entries[1:])))
         return tuple(out)
 
@@ -69,13 +77,16 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def _check_length(self, vector) -> None:
+        if len(vector) != self.ambient:
+            raise ValueError(f"vector of length {len(vector)} in ambient "
+                             f"dimension {self.ambient}")
+
     def _residue(self, vector) -> list:
         """The vector minus v[p]·row for each row and its pivot p, in exact
         arithmetic: integral entries stay ``int``, as they are for the
         kernels of integral trace forms."""
-        if len(vector) != self.ambient:
-            raise ValueError(f"vector of length {len(vector)} in ambient "
-                             f"dimension {self.ambient}")
+        self._check_length(vector)
         v = [exact(x) for x in vector]
         for p, entries in self._reducers:
             f = v[p]
@@ -94,7 +105,20 @@ class Subspace:
         return [x if type(x) is Fraction else Fraction(x) for x in self._residue(vector)]
 
     def contains(self, vector) -> bool:
-        return not any(self._residue(vector))
+        self._check_length(vector)
+        return self._holds({j: x for j, x in enumerate(vector) if x})
+
+    def _holds(self, terms: dict) -> bool:
+        """Whether the vector with these nonzero coordinates lies in the
+        subspace: whether it equals the sum over the pivots p of its entry
+        at p times the row of p."""
+        span = {}
+        for p, entries in self._reducers:
+            f = terms.get(p)
+            if f:
+                span[p] = f
+                add_terms(span, entries, f)
+        return span == terms
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
@@ -135,9 +159,12 @@ class TraceAlgebra:
 
     The structure constants, unit and trace are exact rationals stored
     through ``sparse.exact``, so integral ones are ``int``.  Elements are
-    coordinate vectors; ``basis_product`` multiplies one by a basis element,
-    and ``multiply`` and ``word_value`` take any coordinates in ``Fraction``,
-    ``int`` or ``MPoly`` (generic elements).
+    coordinate vectors; ``add_basis_product`` adds a multiple of a product
+    with a basis element to a sparse sum, and ``multiply`` and
+    ``word_value`` take any coordinates in ``Fraction``, ``int`` or
+    ``MPoly`` (generic elements).  Products of two basis elements
+    (``product_table``), the Gram matrix (``gram``) and ``validate`` read
+    the structure constants directly.
     """
 
     dim: int
@@ -166,17 +193,16 @@ class TraceAlgebra:
                     out[k] += xy * c
         return tuple(out)
 
-    def basis_product(self, x, i, side):
-        """x·u_i when side is "right", u_i·x when it is "left", read off
+    def add_basis_product(self, terms, items, i, side, scale=1):
+        """terms += scale·x·u_i when side is "right", scale·u_i·x when it is
+        "left", in place on the dict ``terms`` from coordinates to nonzero
+        values, for the vector x given by its (j, x_j) pairs; read off
         column i or row i of the structure constants:
         (x u_i)_k = sum_j x_j c(j, i, k) and (u_i x)_k = sum_j x_j c(i, j, k)."""
-        mul = self.mul
-        out = [0] * self.dim
-        for j, xj in enumerate(x):
+        cells = [row[i] for row in self.mul] if side == "right" else self.mul[i]
+        for j, xj in items:
             if xj:
-                for k, c in (mul[j][i] if side == "right" else mul[i][j]):
-                    out[k] += xj * c
-        return tuple(out)
+                add_terms(terms, cells[j], xj * scale)
 
     def word_value(self, w, letters, cache):
         """The product letters[w[0]] ... letters[w[-1]], memoized on prefixes.
@@ -203,6 +229,69 @@ class TraceAlgebra:
     def gram_matrix(self, vectors):
         """G[i][j] = t(v_i v_j), the trace form on the given vectors."""
         return [[self.trace_of(self.multiply(x, y)) for y in vectors] for x in vectors]
+
+    @cached_property
+    def gram(self) -> tuple:
+        """G[i][j] = t(u_i u_j), the trace form on the basis: the sum of
+        c·t(u_k) over the structure constants u_i u_j = sum c u_k."""
+        t = self.trace_vector
+        return tuple(tuple(exact(sum(c * t[k] for k, c in cell)) for cell in row)
+                     for row in self.mul)
+
+    def product_table(self, idxs):
+        """table[p][q] = u_i u_j for i = idxs[p] and j = idxs[q], as dense
+        coordinate tuples read off the structure constants."""
+        out = []
+        for i in idxs:
+            row = self.mul[i]
+            cells = []
+            for j in idxs:
+                v = [0] * self.dim
+                for k, c in row[j]:
+                    v[k] += c
+                cells.append(tuple(v))
+            out.append(cells)
+        return out
+
+    def validate(self) -> None:
+        """Raise AlgebraValidationError at the first failure of the unit law
+        (in basis order), of associativity (triples in lexicographic order)
+        or of trace symmetry (pairs i < j), each product a sparse dict
+        summed off the structure constants."""
+        mul, d, labels = self.mul, self.dim, self.labels
+        unit = [(j, x) for j, x in enumerate(self.unit) if x]
+        for i in range(d):
+            right, left = {}, {}
+            for j, x in unit:
+                add_terms(right, mul[j][i], x)
+                add_terms(left, mul[i][j], x)
+            if right != {i: 1} or left != {i: 1}:
+                raise AlgebraValidationError(
+                    f"unit law fails on basis element {labels[i]}", witness=(i,))
+        for i in range(d):
+            row_i = mul[i]
+            for j in range(d):
+                ij, row_j = row_i[j], mul[j]
+                for k in range(d):
+                    left, right = {}, {}        # (u_i u_j) u_k and u_i (u_j u_k)
+                    for m, c in ij:
+                        add_terms(left, mul[m][k], c)
+                    for m, c in row_j[k]:
+                        add_terms(right, row_i[m], c)
+                    if left != right:
+                        raise AlgebraValidationError(
+                            "associativity fails on "
+                            f"({labels[i]}, {labels[j]}, {labels[k]})",
+                            witness=(i, j, k))
+        gram = self.gram
+        for i in range(d):
+            for j in range(i + 1, d):
+                tij, tji = gram[i][j], gram[j][i]
+                if tij != tji:
+                    raise AlgebraValidationError(
+                        f"trace symmetry fails: t({labels[i]}*{labels[j]}) = {tij} "
+                        f"but t({labels[j]}*{labels[i]}) = {tji}",
+                        witness=(i, j))
 
 
 def make_algebra(mul, unit, trace_vector, labels=None, blocks=None,
@@ -236,38 +325,8 @@ def make_algebra(mul, unit, trace_vector, labels=None, blocks=None,
         blocks=tuple((m, tuple(idxs)) for m, idxs in blocks) if blocks else None,
     )
     if validate:
-        _validate(algebra)
+        algebra.validate()
     return algebra
-
-
-def _validate(a: TraceAlgebra) -> None:
-    basis = [a.basis_vector(i) for i in range(a.dim)]
-    table = [[a.basis_product(basis[i], j, "right") for j in range(a.dim)]
-             for i in range(a.dim)]
-    for i in range(a.dim):
-        if (a.basis_product(a.unit, i, "right") != basis[i]
-                or a.basis_product(a.unit, i, "left") != basis[i]):
-            raise AlgebraValidationError(
-                f"unit law fails on basis element {a.labels[i]}", witness=(i,))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                left = a.basis_product(table[i][j], k, "right")
-                right = a.basis_product(table[j][k], i, "left")
-                if left != right:
-                    raise AlgebraValidationError(
-                        "associativity fails on "
-                        f"({a.labels[i]}, {a.labels[j]}, {a.labels[k]})",
-                        witness=(i, j, k))
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            tij = a.trace_of(table[i][j])
-            tji = a.trace_of(table[j][i])
-            if tij != tji:
-                raise AlgebraValidationError(
-                    f"trace symmetry fails: t({a.labels[i]}*{a.labels[j]}) = {tij} "
-                    f"but t({a.labels[j]}*{a.labels[i]}) = {tji}",
-                    witness=(i, j))
 
 
 def weighted_semisimple(wt) -> TraceAlgebra:
@@ -317,9 +376,7 @@ def trace_kernel(a: TraceAlgebra) -> Subspace:
 
     The result is checked to be a two-sided ideal closed under trace.
     """
-    gram = [[a.trace_of(a.basis_product(a.basis_vector(i), j, "right")) for j in range(a.dim)]
-            for i in range(a.dim)]
-    kernel = Subspace.from_vectors(a.dim, linalg.nullspace(gram))
+    kernel = Subspace.from_vectors(a.dim, linalg.nullspace(a.gram))
     if any(a.trace_of(row) != 0 for row in kernel.rows):
         raise AssertionError("trace kernel is not trace-stable")
     if check_ideal(a, kernel) is not None:
@@ -331,9 +388,12 @@ def check_ideal(a: TraceAlgebra, space: Subspace):
     """Witness (vector, basis index, side) if space is not a two-sided ideal:
     side "right" means row·u_i leaves the space, "left" u_i·row."""
     for row in space.rows:
+        items = [(j, x) for j, x in enumerate(row) if x]
         for i in range(a.dim):
             for side in ("right", "left"):
-                if not space.contains(a.basis_product(row, i, side)):
+                product = {}
+                a.add_basis_product(product, items, i, side)
+                if not space._holds(product):
                     return (row, i, side)
     return None
 
@@ -352,7 +412,7 @@ def radical_kernel(a: TraceAlgebra, ideal: Subspace) -> Subspace:
         vec, i, side = witness
         raise AlgebraValidationError(
             f"not a two-sided ideal: {side} multiplication by {a.labels[i]} "
-            f"leaves the subspace at {vec}", witness=witness)
+            f"leaves the subspace at {tuple(map(Fraction, vec))}", witness=witness)
     if ideal.contains(a.unit):
         return Subspace.whole(a.dim)
     return trace_kernel(a) + ideal
@@ -382,8 +442,8 @@ def quotient_algebra(a: TraceAlgebra, ideal: Subspace):
         v = ideal.reduce(vec)
         return tuple(v[j] for j in free)
 
-    mul = [[list(project(a.basis_product(a.basis_vector(i), j, "right"))) for j in free]
-           for i in free]
+    mul = [[[v[j] for j in free] for v in map(ideal._residue, row)]
+           for row in a.product_table(free)]
     trace = [a.trace_vector[j] for j in free]
     quotient = make_algebra(mul, project(a.unit), trace,
                             labels=tuple(a.labels[j] for j in free), validate=False)
@@ -402,27 +462,31 @@ def ch_identity_failure(a: TraceAlgebra, n: int):
 
         P(S) = t(P(S - j) u_j) 1 - sum_{i in S} u_i P(S - i).
 
-    P is built one multiset size at a time; equal elements of S give equal
-    terms, so each distinct i is expanded once, times its multiplicity.
+    P is built one multiset size at a time and kept as its nonzero (q, P_q)
+    pairs, mostly none or few; equal elements of S give equal terms, so each
+    distinct i is expanded once, times its multiplicity.  t(P u_j) is the
+    dot product of P with column j of the Gram matrix.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    layer = {(): a.unit}
+    columns = tuple(zip(*a.gram))   # columns[j][q] = t(u_q u_j)
+    unit = tuple((q, x) for q, x in enumerate(a.unit) if x)
+    layer = {(): unit}
     for k in range(1, n + 1):
         previous, layer = layer, {}
         for s in combinations_with_replacement(range(a.dim), k):
-            t = a.trace_of(a.basis_product(previous[s[:-1]], s[-1], "right"))
-            value = [t * c for c in a.unit]
+            column = columns[s[-1]]
+            t = sum(x * column[q] for q, x in previous[s[:-1]])
+            value = {q: t * x for q, x in unit} if t else {}
             for pos, i in enumerate(s):
                 if pos and s[pos - 1] == i:
                     continue
-                m = s.count(i)
-                for q, c in enumerate(a.basis_product(previous[s[:pos] + s[pos + 1:]], i, "left")):
-                    if c:
-                        value[q] -= m * c
+                rest = previous[s[:pos] + s[pos + 1:]]
+                if rest:
+                    a.add_basis_product(value, rest, i, "left", -s.count(i))
             if k < n:
-                layer[s] = tuple(value)
-            elif any(value):
+                layer[s] = tuple(value.items())
+            elif value:
                 return s
     return None
 
@@ -498,16 +562,18 @@ def recover_weights(a: TraceAlgebra, blocks=None) -> WeightedType:
 
 def _block_identity(a: TraceAlgebra, m: int, idxs):
     """Unit of the block subalgebra spanned by the given basis indices."""
-    rows = []
-    rhs = []
-    for j in idxs:
+    table = a.product_table(idxs)
+    system = {}     # (row, rhs) of each distinct equation, in order
+    for q, j in enumerate(idxs):
         bj = a.basis_vector(j)
-        # e * u_j = u_j and u_j * e = u_j, with e supported on idxs
-        for side in ("left", "right"):
-            products = [a.basis_product(bj, i, side) for i in idxs]
-            rows.extend([p[k] for p in products] for k in range(a.dim))
-            rhs.extend(bj)
-    sol = linalg.solve(rows, rhs)
+        # e * u_j = u_j and u_j * e = u_j, with e supported on idxs: one
+        # equation per coordinate, less those that read 0 = 0
+        for products in ([row[q] for row in table], table[q]):
+            for k in range(a.dim):
+                row = tuple(p[k] for p in products)
+                if bj[k] or any(row):
+                    system[row, bj[k]] = None
+    sol = linalg.solve([row for row, _ in system], [b for _, b in system])
     if sol is None:
         raise AlgebraValidationError("block has no unit: not a matrix block")
     e = [0] * a.dim

@@ -317,6 +317,28 @@ class TestAlgebraCommands:
         assert result.exit_code == 0
         assert "kernel dimension: 1" in result.output
 
+    def test_kernel_prints_a_non_integral_row(self, runner, tmp_path):
+        # Q^3 on the basis u0 = e1 + e2, u1 = 2e2 + e3, u2 = e1 + 3e3 of its
+        # idempotents, traced by t(e1) = t(e2) = 1 and t(e3) = 0: the kernel
+        # is the line of e3 = (-2u0 + u1 + 2u2)/7, whose rref row mixes ints
+        # and a Fraction
+        path = tmp_path / "q3.json"
+        path.write_text(json.dumps({
+            "dim": 3, "basis": ["u0", "u1", "u2"],
+            "mul": [[[[0, "1"]], [[0, "2/7"], [1, "6/7"], [2, "-2/7"]],
+                     [[0, "6/7"], [1, "-3/7"], [2, "1/7"]]],
+                    [[[0, "2/7"], [1, "6/7"], [2, "-2/7"]],
+                     [[0, "2/7"], [1, "13/7"], [2, "-2/7"]],
+                     [[0, "-6/7"], [1, "3/7"], [2, "6/7"]]],
+                    [[[0, "6/7"], [1, "-3/7"], [2, "1/7"]],
+                     [[0, "-6/7"], [1, "3/7"], [2, "6/7"]],
+                     [[0, "-12/7"], [1, "6/7"], [2, "19/7"]]]],
+            "unit": ["5/7", "1/7", "2/7"], "trace": ["2", "2", "1"],
+        }))
+        result = runner.invoke(main, ["algebra", "kernel", "--in", str(path)])
+        assert result.exit_code == 0
+        assert result.output == "kernel dimension: 1\n  [1, -1/2, -1]\n"
+
     def test_chdeg(self, runner, tmp_path):
         path = tmp_path / "m2.json"
         path.write_text(dump_algebra(weighted_semisimple([(2, 1)])))

@@ -14,7 +14,8 @@ from tracealg.findim import (AlgebraValidationError, Subspace, TraceAlgebra,
                              dual_numbers, make_algebra,
                              quotient_algebra, radical_kernel, recover_weights,
                              rescale_trace, trace_kernel, weighted_semisimple)
-from tracealg.pseudochar import (PseudoCharTable, group_algebra,
+from tracealg import linalg
+from tracealg.pseudochar import (PseudoCharTable, dihedral_group, group_algebra,
                                  quaternion_group, symmetric_group_3)
 from tracealg.strata import enumerate_types
 
@@ -67,7 +68,8 @@ class TestMakeAlgebra:
         ]
         with pytest.raises(AlgebraValidationError, match="associativity") as err:
             make_algebra(mul, unit=[1, 0, 0], trace_vector=[0, 0, 0])
-        assert err.value.witness is not None
+        assert err.value.witness == (1, 1, 1)
+        assert str(err.value) == "associativity fails on (u1, u1, u1)"
 
     def test_trace_symmetry_rejected_with_witness_pair(self):
         with pytest.raises(AlgebraValidationError) as err:
@@ -108,6 +110,7 @@ class TestTraceKernel:
     def test_dual_numbers(self):
         k = trace_kernel(dual_numbers())
         assert k.rows == ((Fraction(0), Fraction(1)),)
+        assert all(type(x) is int for x in k.rows[0])
 
     def test_m2_reduced_trace(self):
         assert trace_kernel(weighted_semisimple([(2, 1)])).is_zero()
@@ -144,8 +147,14 @@ class TestRadicalKernel:
     def test_non_ideal_is_rejected_with_witness(self):
         a = weighted_semisimple([(2, 1)])
         not_ideal = Subspace.from_vectors(4, [a.basis_vector(1)])  # span(e12)
-        with pytest.raises(AlgebraValidationError, match="ideal"):
+        with pytest.raises(AlgebraValidationError, match="ideal") as err:
             radical_kernel(a, not_ideal)
+        # the message prints the row as Fractions, as it did before the rows
+        # held ints
+        assert str(err.value) == (
+            "not a two-sided ideal: right multiplication by e0_10 leaves the subspace "
+            "at (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))")
+        assert err.value.witness == ((0, 1, 0, 0), 2, "right")
 
 
 class TestChDegree:
@@ -207,6 +216,14 @@ class TestRecoverWeights:
                          blocks=[(1, (0,))])
         with pytest.raises(AlgebraValidationError, match="not n-CH"):
             recover_weights(a)
+
+    def test_block_without_a_unit_is_rejected(self):
+        # in Q[C2] = span(1, g), g·(x g) = x·1 is never g: the equation at
+        # the g coordinate reads 0 = 1
+        c2 = make_algebra([[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                          unit=[1, 0], trace_vector=[2, 0])
+        with pytest.raises(AlgebraValidationError, match="block has no unit"):
+            recover_weights(c2, blocks=[(1, (1,))])
 
     def test_roundtrip_up_to_n5(self):
         for n in range(1, 6):
@@ -354,7 +371,8 @@ def first_failure_by_evaluation(a, n):
 
 @lru_cache(maxsize=None)
 def _group_and_characters(name):
-    group = {"S3": symmetric_group_3, "Q8": quaternion_group}[name]()
+    group = {"S3": symmetric_group_3, "Q8": quaternion_group,
+             "D4": lambda: dihedral_group(4)}[name]()
     return group, character_table(group)
 
 
@@ -413,14 +431,35 @@ class TestCheckIdeal:
         assert check_ideal(upper, trace_kernel(upper)) is None
 
 
+def basis_product(a, x, i, side):
+    """x·u_i when side is "right", u_i·x when it is "left": the general
+    product with a one-hot vector."""
+    b = a.basis_vector(i)
+    return a.multiply(x, b) if side == "right" else a.multiply(b, x)
+
+
+def accumulated_product(a, y, x, i, side, scale=1):
+    """y + scale·(x·u_i or u_i·x) through ``add_basis_product``, as a dense
+    tuple; the sparse sum must hold no zero."""
+    terms = {j: c for j, c in enumerate(y) if c}
+    a.add_basis_product(terms, enumerate(x), i, side, scale)
+    assert all(terms.values())
+    return tuple(terms.get(k, 0) for k in range(a.dim))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(oracle_algebras, st.data())
 def test_basis_product_matches_the_one_hot_product(a, data):
     x = data.draw(st.lists(st.integers(-3, 3), min_size=a.dim, max_size=a.dim))
+    y = data.draw(st.lists(st.integers(-3, 3), min_size=a.dim, max_size=a.dim))
+    scale = data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    zero = [0] * a.dim
     for i in range(a.dim):
-        b = a.basis_vector(i)
-        assert a.basis_product(x, i, "right") == a.multiply(x, b)
-        assert a.basis_product(x, i, "left") == a.multiply(b, x)
+        for side in ("right", "left"):
+            product = basis_product(a, x, i, side)
+            assert accumulated_product(a, zero, x, i, side) == product
+            assert accumulated_product(a, y, x, i, side, scale) == tuple(
+                c + scale * p for c, p in zip(y, product))
 
 
 @pytest.mark.parametrize("a", [dual_numbers(), weighted_semisimple([(1, 1), (2, 2)]),
@@ -430,7 +469,10 @@ def test_integral_coordinates_give_int_results(a):
     y = tuple(range(a.dim, 0, -1))
     values = [*a.multiply(x, y), a.trace_of(x), a.trace_of_unit]
     for i in range(a.dim):
-        values.extend(a.basis_product(x, i, "right") + a.basis_product(x, i, "left"))
+        for side in ("right", "left"):
+            terms = {}
+            a.add_basis_product(terms, enumerate(x), i, side)
+            values.extend(terms.values())
     assert all(type(v) is int for v in values)
 
 
@@ -441,3 +483,148 @@ def test_check_ideal_matches_the_one_hot_products(a, data):
         st.lists(st.integers(-2, 2), min_size=a.dim, max_size=a.dim), max_size=3))
     for space in (Subspace.from_vectors(a.dim, vectors), trace_kernel(a)):
         assert check_ideal(a, space) == reference_check_ideal(a, space)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(oracle_algebras)
+def test_gram_and_product_table_match_the_one_hot_products(a):
+    e = [a.basis_vector(i) for i in range(a.dim)]
+    table = a.product_table(range(a.dim))
+    for i in range(a.dim):
+        for j in range(a.dim):
+            assert table[i][j] == a.multiply(e[i], e[j])
+            assert a.gram[i][j] == a.trace_of(a.multiply(e[i], e[j]))
+    some = [a.dim - 1, 0]
+    assert a.product_table(some) == [[table[i][j] for j in some] for i in some]
+
+
+# -- validation against the dense one-hot products --------------------------------
+
+def reference_validate(a):
+    """The validation through dense products with one-hot basis vectors: the
+    unit law, then every triple, then every pair, in basis order."""
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    table = [[basis_product(a, basis[i], j, "right") for j in range(a.dim)]
+             for i in range(a.dim)]
+    for i in range(a.dim):
+        if (basis_product(a, a.unit, i, "right") != basis[i]
+                or basis_product(a, a.unit, i, "left") != basis[i]):
+            raise AlgebraValidationError(
+                f"unit law fails on basis element {a.labels[i]}", witness=(i,))
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                left = basis_product(a, table[i][j], k, "right")
+                right = basis_product(a, table[j][k], i, "left")
+                if left != right:
+                    raise AlgebraValidationError(
+                        "associativity fails on "
+                        f"({a.labels[i]}, {a.labels[j]}, {a.labels[k]})",
+                        witness=(i, j, k))
+    for i in range(a.dim):
+        for j in range(i + 1, a.dim):
+            tij = a.trace_of(table[i][j])
+            tji = a.trace_of(table[j][i])
+            if tij != tji:
+                raise AlgebraValidationError(
+                    f"trace symmetry fails: t({a.labels[i]}*{a.labels[j]}) = {tij} "
+                    f"but t({a.labels[j]}*{a.labels[i]}) = {tji}",
+                    witness=(i, j))
+
+
+def validation_outcome(check):
+    """(message, witness) of the AlgebraValidationError check() raises, or None."""
+    try:
+        check()
+    except AlgebraValidationError as err:
+        return str(err), err.witness
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(oracle_algebras, st.sampled_from(["none", "mul", "unit", "trace"]), st.data())
+def test_validation_matches_the_dense_reference(a, kind, data):
+    d = a.dim
+    e = [a.basis_vector(i) for i in range(d)]
+    mul = [[list(a.multiply(e[i], e[j])) for j in range(d)] for i in range(d)]
+    unit, trace = list(a.unit), list(a.trace_vector)
+    i, j, k = (data.draw(st.integers(0, d - 1)) for _ in range(3))
+    delta = data.draw(st.sampled_from([-1, 1, 2, Fraction(1, 2)]))
+    if kind == "mul":
+        mul[i][j][k] += delta
+    elif kind == "unit":
+        unit[i] += delta
+    elif kind == "trace":
+        trace[i] += delta
+    perturbed = make_algebra(mul, unit, trace, labels=a.labels, validate=False)
+    expected = validation_outcome(lambda: reference_validate(perturbed))
+    if kind == "none":
+        assert expected is None
+    assert validation_outcome(
+        lambda: make_algebra(mul, unit, trace, labels=a.labels)) == expected
+
+
+# -- the CH recursion against the dense recursion ---------------------------------
+
+def reference_ch_identity_failure(a, n):
+    """The recursion on dense values: each trace t(P u_j) and each left
+    product u_i P through a product with a basis element."""
+    layer = {(): a.unit}
+    for k in range(1, n + 1):
+        previous, layer = layer, {}
+        for s in combinations_with_replacement(range(a.dim), k):
+            t = a.trace_of(basis_product(a, previous[s[:-1]], s[-1], "right"))
+            value = [t * c for c in a.unit]
+            for pos, i in enumerate(s):
+                if pos and s[pos - 1] == i:
+                    continue
+                m = s.count(i)
+                for q, c in enumerate(basis_product(a, previous[s[:pos] + s[pos + 1:]], i, "left")):
+                    if c:
+                        value[q] -= m * c
+            if k < n:
+                layer[s] = tuple(value)
+            elif any(value):
+                return s
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(oracle_algebras,
+                 st.builds(group_trace_algebra, st.just("D4"),
+                           st.lists(st.integers(0, 4), min_size=1, max_size=2), st.booleans())),
+       st.integers(1, 4))
+def test_recursion_matches_the_dense_recursion(a, n):
+    assert ch_identity_failure(a, n) == reference_ch_identity_failure(a, n)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+@pytest.mark.parametrize("quotient", [False, True], ids=["group", "quotient"])
+def test_recursion_matches_the_dense_recursion_on_group_algebras(name, quotient):
+    characters = len(_group_and_characters(name)[1])
+    algebras = [STRANGE, upper_triangular(1, 1), upper_triangular(2, -1)]
+    algebras += [group_trace_algebra(name, [i], quotient) for i in range(characters)]
+    for a in algebras:
+        for n in range(1, 5):
+            assert ch_identity_failure(a, n) == reference_ch_identity_failure(a, n), (a.labels, n)
+
+
+# -- the stored normal form of subspaces --------------------------------------------
+
+_row_entries = st.sampled_from([0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.lists(_row_entries, min_size=d, max_size=d), max_size=4))))
+def test_subspace_rows_are_int_where_integral(case):
+    d, vectors = case
+    space = Subspace.from_vectors(d, vectors)
+    fraction_rows = tuple(tuple(r) for r in linalg.rref(vectors)[0])
+    assert space.rows == fraction_rows
+    assert hash(space.rows) == hash(fraction_rows)
+    assert space == Subspace(d, fraction_rows)
+    assert hash(space) == hash(Subspace(d, fraction_rows))
+    for row, fraction_row in zip(space.rows, fraction_rows):
+        for x, f in zip(row, fraction_row):
+            assert type(x) is (int if f.denominator == 1 else Fraction)

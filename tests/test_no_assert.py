@@ -156,8 +156,10 @@ def test_linalg_is_the_bottom_layer():
 
 def test_only_the_algebra_reads_its_structure_constants():
     """``.mul`` is read by ``TraceAlgebra``'s methods and ``jsonio.dump_algebra``
-    alone, so every product is decided in one place: ``basis_product`` for a
-    product with a basis element, ``multiply`` for any other."""
+    alone, so every product is decided in one place: ``add_basis_product``
+    for a product with a basis element,
+    ``product_table``, ``gram`` and ``validate`` for products of two basis
+    elements, ``multiply`` for any other."""
     allowed = {("findim.py", "TraceAlgebra"), ("jsonio.py", "dump_algebra")}
     readers = []
     for path in SOURCES:
