@@ -67,9 +67,9 @@ def polarize(expr):
     click.echo(result.render())
 
 
-# verify --poly builtin:Tk builds k! terms: at size 1 T8 takes about 1 s and
-# 50 MB, T9 about 9 s and 310 MB, 2.2 s of it to build the terms (Python
-# 3.11.7, 2 cores)
+# verify --poly builtin:Tk builds k! terms: at size 1 T8 takes about 0.6 s
+# and 45 MB as a CLI call, T9 about 9 s and 310 MB, 2.2 s of it to build the
+# terms (Python 3.11.7, 2 cores)
 VERIFY_T_MAX_K = 8
 
 # verify --random N draws N integer trials before the symbolic check, each
@@ -174,8 +174,9 @@ def kernel(path):
 
 # the CH recursion of algebra chdeg builds 300-450 thousand basis multisets
 # a second on 13-17 basis elements, most of whose values vanish: 77519
-# (M3 + M2 with weights 1, 2) take about 0.2 s and 100946 (M4 + M1 with
-# weights 1, 2) about 0.25 s, in process; M4 with its trace doubled needs
+# (M3 + M2 with weights 1, 2) take about 0.35 s and 21 MB as a CLI call
+# (0.2-0.25 s of it in ch_degree), and 100946 (M4 + M1 with weights 1, 2),
+# refused here, about 0.3 s in process; M4 with its trace doubled needs
 # 735470 (Python 3.11.7, 2 cores)
 CHDEG_MAX_MULTISETS = 100000
 # each n up to --nmax other than t(1) costs a diagnostic line: the trace-0

@@ -226,10 +226,6 @@ class TraceAlgebra:
     def trace_of_unit(self):
         return self.trace_of(self.unit)
 
-    def gram_matrix(self, vectors):
-        """G[i][j] = t(v_i v_j), the trace form on the given vectors."""
-        return [[self.trace_of(self.multiply(x, y)) for y in vectors] for x in vectors]
-
     @cached_property
     def gram(self) -> tuple:
         """G[i][j] = t(u_i u_j), the trace form on the basis: the sum of

@@ -10,8 +10,9 @@ every decision:
   G-relation is in particular a rational-function relation); the seed
   draws these specialization points and nothing else;
 * once d monomials are independent and the trace Gram matrix of the basis
-  is nonsingular at a specialization point, every remaining monomial is
-  dependent: its unique rational-function coordinates solve the Gram system,
+  is nonsingular, every remaining monomial is dependent: its unique
+  rational-function coordinates solve the Gram system of the monomials
+  (V G V^T, nonsingular with G once V has rank d at a specialization point),
   so they lie in G (Cramer over the trace ring);
 * otherwise we search for a homogeneous relation t_0 * v = sum t_i * b_i
   with coefficients in graded pieces of the trace ring: the relations of
@@ -87,6 +88,7 @@ class _RankEngine:
         self.symbolic_words = {(): tuple(MPoly.const(c) for c in algebra.unit)}
         self.symbolic_traces = {}
         self.trace_piece_cache = {}
+        self.nondegenerate = linalg.rank(algebra.gram) == d
 
     def word_at(self, w, p: int):
         return self.a.word_value(w, self.points[p], self.point_words[p])
@@ -142,17 +144,14 @@ class _RankEngine:
 
     def full_rank_nondegenerate(self, basis_words) -> bool:
         """True if the basis spans the whole algebra over the function field
-        and its trace Gram matrix is nonsingular (certified at a point)."""
+        (certified at a point) and the trace Gram matrix G of the algebra's
+        basis is nonsingular: the words' Gram matrix V G V^T at that point
+        then is too."""
         d = self.a.dim
-        if len(basis_words) != d:
+        if len(basis_words) != d or not self.nondegenerate:
             return False
-        for p in range(len(self.points)):
-            vecs = [self.word_at(b, p) for b in basis_words]
-            if linalg.rank([list(v) for v in vecs]) != d:
-                continue
-            if linalg.rank(self.a.gram_matrix(vecs)) == d:
-                return True
-        return False
+        return any(linalg.rank([list(self.word_at(b, p)) for b in basis_words]) == d
+                   for p in range(len(self.points)))
 
     def find_relation(self, basis_words, w):
         """Relation t_0 * v(w) = sum t_i * v(b_i) with t_0 != 0 in the trace
@@ -202,15 +201,12 @@ def generic_algebra_rank(algebra: TraceAlgebra, ell: int, degree_cap: int = None
     report = GenericRankReport(rank=0, stabilized=True, word_length_cap=degree_cap,
                                max_length_used=0, basis_words=[])
     accepted = []
-    shortcut = False
     queue = deque([()])
     while queue:
-        if not shortcut and len(accepted) == algebra.dim and \
-                engine.full_rank_nondegenerate(accepted):
+        if len(accepted) == algebra.dim and engine.full_rank_nondegenerate(accepted):
             # everything still queued is a rational-function combination of the
             # basis, and the nonsingular Gram matrix pulls the coefficients
             # into the trace field
-            shortcut = True
             report.nondegenerate_shortcut = True
             break
         w = queue.popleft()

@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials over Q, and matrices of them.
+"""Sparse multivariate polynomials over Q, their determinants, and the
+square-matrix container ``PolyMatrix`` that ``genmat`` returns them in.
 
 Variables are plain strings.  Coefficients are ``int`` or ``Fraction``
 (see ``sparse.exact``); zero coefficients are never stored, so equality of
@@ -25,7 +26,6 @@ result of ``genmat.evaluate``.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from math import gcd, lcm
 
 from .sparse import SparsePoly, exact, render_sum
@@ -123,46 +123,6 @@ class MPoly(SparsePoly):
             return self.terms[0]
         return None
 
-    def variables(self):
-        return {name for k in self.terms for name, _ in _decode(k)}
-
-    # -- evaluation / substitution --------------------------------------
-    def evaluate(self, point) -> Fraction:
-        """Evaluate at a dict name -> Fraction; unmapped variables are an error."""
-        total = Fraction(0)
-        cache = {}
-        for k, c in self.terms.items():
-            v = c
-            for pair in _decode(k):
-                p = cache.get(pair)
-                if p is None:
-                    name, e = pair
-                    p = cache[pair] = Fraction(point[name]) ** e
-                v *= p
-            total += v
-        return total
-
-    def substitute(self, mapping) -> "MPoly":
-        """Ring substitution name -> MPoly; unmapped variables stay themselves.
-
-        Each power repl^e is computed once per call and shared by every term
-        that uses it.
-        """
-        powers = {}
-
-        def image(k):
-            acc = None
-            for pair in _decode(k):
-                p = powers.get(pair)
-                if p is None:
-                    name, e = pair
-                    repl = mapping.get(name)
-                    p = powers[pair] = MPoly.var(name, e) if repl is None else repl ** e
-                acc = p if acc is None else acc * p
-            return MPoly.one() if acc is None else acc
-
-        return MPoly.sum((c, image(k)) for k, c in self.terms.items())
-
     def primitive(self) -> "MPoly":
         """The same polynomial scaled to coprime int coefficients, sign kept."""
         if not self.terms:
@@ -187,7 +147,8 @@ class MPoly(SparsePoly):
 
 
 class PolyMatrix:
-    """Square matrix with MPoly entries."""
+    """Square matrix with MPoly entries: a container of rows, with no
+    arithmetic (``genmat`` multiplies matrices on lists of rows)."""
 
     __slots__ = ("size", "rows")
 
@@ -204,59 +165,6 @@ class PolyMatrix:
         if isinstance(x, MPoly):
             return x
         return MPoly.const(x)
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def scalar(cls, value, n: int) -> "PolyMatrix":
-        return cls([[value if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __add__(self, other):
-        self._check(other)
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            self._check(other)
-            n = self.size
-            cols = list(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                out_row = []
-                for col in cols:
-                    entry = {}
-                    for a, b in zip(row, col):
-                        MPoly.add_product(entry, a, b)
-                    out_row.append(MPoly(entry))
-                out.append(out_row)
-            return PolyMatrix(out)
-        return PolyMatrix([[a * other for a in row] for row in self.rows])
-
-    def __rmul__(self, other):
-        return PolyMatrix([[other * a for a in row] for row in self.rows])
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative matrix power")
-        out = PolyMatrix.identity(self.size)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def _check(self, other):
-        if not isinstance(other, PolyMatrix) or other.size != self.size:
-            raise ValueError("size mismatch")
-
-    def trace(self) -> MPoly:
-        return MPoly.sum(self.rows[i][i] for i in range(self.size))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)

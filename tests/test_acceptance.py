@@ -26,6 +26,8 @@ from tracealg.pseudochar import (PseudoCharTable, check_pseudocharacter,
 from tracealg.strata import (closure_leq, enumerate_types,
                              stratification_poset, stratum_dims, StratumType)
 
+from mpoly_helpers import substitute
+
 
 class Budget:
     def __init__(self, seconds):
@@ -215,7 +217,7 @@ def test_criterion_9_one_variable_model_oracle():
                 - 4 * MPoly.var("a2") ** 3 - 27 * MPoly.var("a3") ** 2)
     assert disc == expected
     subs = {f"a{j}": model.charpoly_coeffs[j - 1] for j in (1, 2, 3)}
-    assert disc.substitute(subs).is_zero()
+    assert substitute(disc, subs).is_zero()
 
     # documented, not asserted as ground truth: the circulated degree-4
     # candidate relation is NOT satisfied by the model coefficients
@@ -225,7 +227,7 @@ def test_criterion_9_one_variable_model_oracle():
                  - 12 * MPoly.var("a1") ** 2 * MPoly.var("a2") ** 2
                  + 18 * MPoly.var("a1") ** 3 * MPoly.var("a3")
                  + 36 * MPoly.var("a2") ** 3)
-    assert not candidate.substitute(subs).is_zero()
+    assert not substitute(candidate, subs).is_zero()
     report(9, "one-variable model identities verify; resultant discriminant vanishes; quartic candidate rejected",
            budget.check("criterion 9"))
 

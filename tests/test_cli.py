@@ -34,9 +34,9 @@ def runner():
     return CliRunner()
 
 
-def run_cli_process(args, address_space=512 << 20):
-    """Run ``python -m tracealg.cli args`` in its own process with its
-    address space capped; return the result and the wall time."""
+def run_cli_process(args, address_space=512 << 20, python_flags=()):
+    """Run ``python [python_flags] -m tracealg.cli args`` in its own process
+    with its address space capped; return the result and the wall time."""
     src = str(Path(tracealg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -45,7 +45,7 @@ def run_cli_process(args, address_space=512 << 20):
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     start = time.perf_counter()
-    result = subprocess.run([sys.executable, "-m", "tracealg.cli", *args],
+    result = subprocess.run([sys.executable, *python_flags, "-m", "tracealg.cli", *args],
                             capture_output=True, text=True, env=env,
                             preexec_fn=cap, timeout=60)
     return result, time.perf_counter() - start
@@ -168,6 +168,18 @@ class TestVerify:
         assert "Traceback" not in result.output
         assert "2^15" in result.output
 
+    def test_a_cancelling_cofactor_does_not_lift_the_packed_bound(self):
+        # x2*x3 - x3*x2 vanishes at size 1, so the polynomial is an identity
+        # there, but its term of 32768 letters x1 is refused before any fold
+        result, seconds = run_cli_process(["verify", "--poly", "x1^32768*(x2*x3 - x3*x2)",
+                                           "--size", "1"])
+        assert result.returncode == 2
+        assert seconds < 5.0
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "error: --poly: too long for generic matrices" in result.stderr
+        assert "2^15" in result.stderr
+
     def test_large_power_at_size_two_is_a_quick_counterexample(self, runner):
         # the all-generic evaluation of x^2000 ran out of memory here
         start = time.perf_counter()
@@ -191,7 +203,7 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize("poly", [f"builtin:ch{CHPOLY_MAX_N}", f"builtin:T{VERIFY_T_MAX_K}"])
     def test_builtins_at_the_bound_run(self, poly):
-        # about 0.8 s and 30 MB, and 1 s and 50 MB (Python 3.11.7, 2 cores)
+        # about 0.8 s and 30 MB, and 0.6 s and 45 MB (Python 3.11.7, 2 cores)
         result, seconds = run_cli_process(["verify", "--poly", poly, "--size", "1"])
         assert result.returncode == 0, result.stderr
         assert seconds < 10.0
@@ -642,6 +654,45 @@ def test_malformed_input_exits_2_naming_the_field(runner, tmp_path, argv, field)
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
     assert field in result.output
+
+
+class TestExitCodesUnderOptimize:
+    """``python -O`` strips ``assert``; the exit codes and the output do
+    not move."""
+
+    def test_identity_exits_0(self):
+        result, _ = run_cli_process(["verify", "--poly", "builtin:ch2", "--size", "2"],
+                                    python_flags=["-O"])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "identity: builtin:ch2 vanishes on all 2x2 matrices\n"
+
+    def test_counterexample_exits_1_with_the_same_witness(self):
+        argv = ["verify", "--poly", "builtin:ch2", "--size", "3"]
+        optimized, _ = run_cli_process(argv, python_flags=["-O"])
+        plain, _ = run_cli_process(argv)
+        assert optimized.returncode == plain.returncode == 1, optimized.stderr
+        assert optimized.stdout.startswith("counterexample for builtin:ch2 at size 3:")
+        assert optimized.stdout == plain.stdout
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**QQ_ALGEBRA, "unit": 7}, "algebra.unit"),
+        ({**QQ_ALGEBRA, "unit": ["0", "1"]}, "unit law fails"),
+    ], ids=["unit-not-list", "wrong-unit"])
+    def test_malformed_algebra_file_exits_2(self, tmp_path, doc, message):
+        path = _write(tmp_path / "a.json", doc)
+        result, _ = run_cli_process(["algebra", "kernel", "--in", path], python_flags=["-O"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr
+
+    def test_random_count_above_the_bound_exits_2(self):
+        count = VERIFY_MAX_TRIALS + 1
+        result, _ = run_cli_process(["verify", "--poly", "builtin:ch2", "--size", "2",
+                                     "--random", str(count)], python_flags=["-O"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"error: --random {count} is above the bound {VERIFY_MAX_TRIALS}" in result.stderr
 
 
 class TestStrataCommand:

@@ -1,9 +1,11 @@
 """Generic-element algebra ranks over the trace fraction field."""
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracealg import linalg
 from tracealg.characters import character_table
 from tracealg.findim import (dual_numbers, make_algebra, quotient_algebra,
                              trace_kernel, weighted_semisimple)
@@ -11,6 +13,8 @@ from tracealg.genrank import _RankEngine, generic_algebra_rank, generic_element_
 from tracealg.mpoly import MPoly
 from tracealg.pseudochar import PseudoCharTable, group_algebra, symmetric_group_3
 from tracealg.strata import enumerate_types
+
+from mpoly_helpers import substitute
 
 
 class TestDualNumbers:
@@ -26,6 +30,15 @@ class TestDualNumbers:
         report = generic_algebra_rank(dual_numbers(), 2)
         assert report.unverified_words == [(2,)]
         assert not report.fully_certified
+
+    def test_never_takes_the_gram_shortcut(self):
+        # eps^2 = 0 and t(eps) = 0 make the basis Gram matrix singular, so
+        # words of full rank at a point are not enough for the shortcut
+        engine = _RankEngine(dual_numbers(), 2, seed=0)
+        words = [(), (1,)]
+        assert linalg.rank([list(engine.word_at(w, 0)) for w in words]) == 2
+        assert not engine.full_rank_nondegenerate(words)
+        assert not generic_algebra_rank(dual_numbers(), 2).nondegenerate_shortcut
 
 
 class TestSemisimple:
@@ -174,10 +187,30 @@ def test_one_product_for_every_coefficient_ring(name, words, p, data):
     point = {generic_element_name(i, j): c
              for i, gen in engine.points[p].items() for j, c in enumerate(gen)}
     for w in map(tuple, words):
-        specialized = tuple(c.evaluate(point) for c in engine.symbolic_word(w))
+        specialized = tuple(substitute(c, point).constant_value()
+                            for c in engine.symbolic_word(w))
         assert specialized == engine.word_at(w, p)
-        assert engine.symbolic_trace(w).evaluate(point) == algebra.trace_of(engine.word_at(w, p))
+        assert substitute(engine.symbolic_trace(w), point).constant_value() == \
+            algebra.trace_of(engine.word_at(w, p))
     coords = st.lists(st.integers(-5, 5), min_size=algebra.dim, max_size=algebra.dim)
     x, y = data.draw(coords), data.draw(coords)
     assert algebra.multiply(x, y) == \
         algebra.multiply([Fraction(c) for c in x], [Fraction(c) for c in y])
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_ALGEBRAS))
+def test_the_basis_gram_decides_the_shortcut_like_the_words_gram(name):
+    """The oracle: d words of rank d at some point whose trace Gram matrix
+    t(v_i v_j) = V G V^T is nonsingular there.  ``full_rank_nondegenerate``
+    reads the basis Gram matrix G instead, once per engine."""
+    algebra = PRODUCT_ALGEBRAS[name]
+    d = algebra.dim
+    engine = _RankEngine(algebra, 2, seed=0)
+    words = [w for k in range(3) for w in product((1, 2), repeat=k)]
+    for basis in combinations(words, d):
+        expected = False
+        for p in range(len(engine.points)):
+            vecs = [engine.word_at(w, p) for w in basis]
+            gram = [[algebra.trace_of(algebra.multiply(x, y)) for y in vecs] for x in vecs]
+            expected |= linalg.rank(vecs) == linalg.rank(gram) == d
+        assert engine.full_rank_nondegenerate(list(basis)) is expected, basis
