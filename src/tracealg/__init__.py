@@ -5,8 +5,8 @@ Subpackages:
 * sparse     -- the sparse exact-arithmetic kernel shared by TracePoly and MPoly
 * freetrace  -- the free algebra with trace: words, cyclic trace symbols,
   normal-form polynomials, rendering and parsing
-* chident    -- characteristic coefficients, the degree-n trace identity and
-  its multilinear forms
+* chident    -- characteristic coefficients, the degree-n trace identity,
+  its multilinear forms and the characters of the symmetric groups
 * genmat     -- evaluation on generic and rational matrices, identity
   checking, diagonal models and discriminant relations
 * genrank    -- ranks of generic-element algebras over their trace field

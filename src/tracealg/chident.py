@@ -3,13 +3,17 @@
 Builds the formal coefficients sigma_i(x) from Newton's recursion between
 power sums and elementary symmetric functions, the one-variable polynomial
 CH_n(x), and the multilinear forms T_sigma, T_k and CH(x_1..x_n) obtained by
-summing signed cycle products over symmetric groups.
+summing signed cycle products over symmetric groups, and the characters
+of those groups (``class_size``, ``character_column``) by which
+``genmat.is_trace_identity`` decides a central multilinear polynomial.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 from .freetrace import TracePoly, sort_traces
 from .mpoly import MPoly
@@ -102,6 +106,53 @@ def _insert(cycles, m: int) -> list:
         for pos, e in enumerate(cyc, 1):
             row[e] = head + (cyc[:pos] + (m,) + cyc[pos:],) + tail
     return row
+
+
+def class_size(cycle_type) -> int:
+    """The number of permutations of {1..m} whose cycle lengths are
+    ``cycle_type`` (m their sum): m! / z, with z the product over the
+    lengths l of l^a a!, a the number of cycles of length l."""
+    z = 1
+    for length, count in Counter(cycle_type).items():
+        z *= length ** count * factorial(count)
+    return factorial(sum(cycle_type)) // z
+
+
+def character_column(cycle_type, rows: int) -> dict:
+    """chi^lambda(K) of S_m at the class K of cycle lengths ``cycle_type``,
+    for every partition lambda of m = sum(K) with at most ``rows`` rows, as
+    {lambda: value} with the zero values left out; lambda is the tuple of
+    its parts, largest first.
+
+    Murnaghan-Nakayama, read as p_K = sum over lambda of chi^lambda(K) s_lambda
+    in r = min(rows, m) variables, where the s_lambda with more than r rows
+    vanish and the others are independent.  A partition with at most r rows
+    is a set of r beads on an abacus, bead i at lambda_i + r - i, given as
+    the bits of an int.  Multiplying s_nu by the power sum p_k moves one bead
+    k places up to an empty place, which adds a rim hook of length k, with
+    the sign (-1)^(beads jumped).  So the walk starts at the empty
+    partition, beads 0..r-1, and multiplies by one part of K at a time over
+    a dict {beads: coefficient}; every partition it reaches has at most r
+    rows.
+    """
+    r = min(rows, sum(cycle_type))
+    states = {(1 << r) - 1: 1}
+    for k in sorted(cycle_type, reverse=True):
+        between = (1 << (k - 1)) - 1     # the k - 1 places a move jumps
+        moved = {}
+        for beads, c in states.items():
+            for pos in range(beads.bit_length()):
+                if beads >> pos & 1 and not beads >> (pos + k) & 1:
+                    new = beads ^ (1 << pos) ^ (1 << (pos + k))
+                    step = -c if (beads >> (pos + 1) & between).bit_count() & 1 else c
+                    moved[new] = moved.get(new, 0) + step
+        states = {beads: c for beads, c in moved.items() if c}
+    column = {}
+    for beads, c in states.items():
+        places = [pos for pos in range(beads.bit_length()) if beads >> pos & 1]
+        parts = [b - i for i, b in enumerate(places)]    # smallest first
+        column[tuple(part for part in reversed(parts) if part)] = c
+    return column
 
 
 # The walk lists the cycles of a permutation in the order of their least

@@ -67,15 +67,17 @@ def polarize(expr):
     click.echo(result.render())
 
 
-# verify --poly builtin:Tk builds k! terms: at size 1 T8 takes about 0.6 s
-# and 45 MB as a CLI call, T9 about 9 s and 310 MB, 2.2 s of it to build the
-# terms (Python 3.11.7, 2 cores)
+# verify --poly builtin:Tk builds k! terms, and the symbolic check reads
+# them by the characters of S_k at any size: T8 takes about 0.25-0.5 s and
+# 33 MB as a CLI call at size 1 or 2, T9 about 2 s and 180 MB in the
+# library, 0.8 s of it to build the terms (Python 3.11.7, 2 cores)
 VERIFY_T_MAX_K = 8
 
 # verify --random N draws N integer trials before the symbolic check, each
 # one fold of the terms over int entries.  The bound limits the count, not
 # the cost, which grows with the size: one trial of builtin:T8 at size 2
-# takes 0.2-0.4 s, and --random 200 on it 50-55 s in all, about 5 s of it
+# takes about 0.09 s after the first, which also builds the term trie
+# (0.24 s in all), and --random 200 on it about 17 s in all, 0.2 s of it
 # the symbolic check (Python 3.11.7, 2 cores)
 VERIFY_MAX_TRIALS = 200
 
@@ -84,19 +86,27 @@ VERIFY_MAX_TRIALS = 200
 VERIFY_WITNESS_TRIALS = 200
 
 
+def _builtin_degree(name: str, prefix: str, letter: str, bound: int) -> int:
+    """The positive integer, at most ``bound``, that follows ``prefix`` in
+    ``name`` in ASCII digits; one with more digits than the bound is
+    refused before it is converted, since ``int`` refuses more than 4300."""
+    digits = name[len(prefix):]
+    value = digits.lstrip("0")
+    if not (digits.isascii() and digits.isdigit() and value):
+        raise ValueError(f"{name}: expected {prefix}<{letter}> with a positive "
+                         f"integer {letter}")
+    if len(value) > len(str(bound)) or int(value) > bound:
+        raise ValueError(f"{name}: {letter} = {value} is above the bound {bound}")
+    return int(value)
+
+
 def _builtin_poly(name: str) -> TracePoly:
     """The polynomial --poly names; a builtin's degree is checked against
     its bound before any term is built."""
     if name.startswith("builtin:ch"):
-        n = int(name[len("builtin:ch"):])
-        if n > CHPOLY_MAX_N:
-            raise ValueError(f"{name}: n = {n} is above the bound {CHPOLY_MAX_N}")
-        return chident.ch_poly(n)
+        return chident.ch_poly(_builtin_degree(name, "builtin:ch", "n", CHPOLY_MAX_N))
     if name.startswith("builtin:T"):
-        k = int(name[len("builtin:T"):])
-        if k > VERIFY_T_MAX_K:
-            raise ValueError(f"{name}: k = {k} is above the bound {VERIFY_T_MAX_K}")
-        return chident.t_multilinear(k)
+        return chident.t_multilinear(_builtin_degree(name, "builtin:T", "k", VERIFY_T_MAX_K))
     return parse_trace_poly(name)
 
 

@@ -1,9 +1,13 @@
 """Exact evaluation of trace polynomials on generic and concrete matrices.
 
-Trace-identity checking is symbolic: a polynomial is an identity of n x n
-matrices iff it vanishes on matrices of fresh commuting indeterminates.
-Trace polynomials commute with simultaneous conjugation, so one of those
-matrices may be a generic diagonal one (see ``is_trace_identity``).
+Trace-identity checking is exact, with one of two certificates (see
+``is_trace_identity``).  The general one is symbolic: a polynomial is an
+identity of n x n matrices iff it vanishes on matrices of fresh commuting
+indeterminates.  Trace polynomials commute with simultaneous conjugation,
+so one of those matrices may be a generic diagonal one.  The other decides
+a multilinear polynomial whose terms fill whole conjugacy classes of a
+symmetric group with one coefficient each, by the characters of that group
+(Procesi 1976, Razmyslov 1974), with no matrix formed.
 ``evaluate`` is the one evaluator, for generic and concrete matrices alike:
 it folds a trie of the terms by Horner's rule, so sums cancel before they
 are multiplied and a common factor is multiplied once (see ``evaluate``).
@@ -37,6 +41,7 @@ from itertools import chain
 from math import lcm
 from operator import add, mul
 
+from .chident import character_column, class_size
 from .freetrace import TracePoly
 from .mpoly import EXPONENT_BOUND, MPoly, PolyMatrix, _overflow, determinant
 from .sparse import add_terms
@@ -402,29 +407,108 @@ def _refuse_long_terms(p: TracePoly) -> None:
             raise _overflow()
 
 
-def is_trace_identity(p: TracePoly, n: int) -> bool:
-    """Exact symbolic check that p vanishes identically on n x n matrices.
+def _class_weights(p: TracePoly):
+    """p as a central element of Q[S_M], or None when it is not one (see
+    ``is_trace_identity``): {K: c_K |K|} over the cycle types K present.
 
-    The variable with the most letter occurrences in p (the smallest index
-    among ties) gets a generic diagonal matrix D, every other variable a
-    full generic matrix (``generic_assignment``).  The check keeps its
-    strength (Procesi 1976): p(g X g^-1) = g p(X) g^-1 for every invertible
-    g, and matrices with distinct eigenvalues, each conjugate to a diagonal
-    one, are Zariski-dense in M_n; so p vanishes on all of M_n^k iff
-    p(D, X_2, ..., X_k) is the zero polynomial.  Only one matrix may be made
-    diagonal: two diagonal matrices commute, and x1*x2 - x2*x1 would pass.
+    Each term must read each of p's m variables exactly once and hold no
+    tr(1).  A pure trace term is then the permutation of the variables
+    whose cycles are its trace words (M = m); when some term has a word
+    part, p is paired with a fresh variable y, tr(p y), and a term's word w
+    becomes the trace word w y, the cycle through y (M = m + 1; a term with
+    no word gets y as a fixed point).  Keys are canonical (each trace word
+    its least rotation, the trace words sorted), so distinct terms are
+    distinct permutations, and the class K of cycle lengths K is filled
+    exactly when |K| terms have those cycle lengths.  p is central when
+    every class present is filled, all with one coefficient.
+    """
+    m = len(p.variables())
+    if not m:
+        return None
+    paired = any(w for w, _ in p.terms)
+    classes = {}    # cycle type -> [coefficient, terms read]
+    for (w, traces), c in p.terms.items():
+        lengths = [len(t) for t in traces]
+        if paired:
+            lengths.append(len(w) + 1)
+        if (sum(lengths) != (m + 1 if paired else m) or 0 in lengths
+                or len(set(chain(w, *traces))) != m):
+            return None
+        cycle_type = tuple(sorted(lengths))
+        entry = classes.get(cycle_type)
+        if entry is None:
+            classes[cycle_type] = [c, 1]
+        elif entry[0] != c:
+            return None
+        else:
+            entry[1] += 1
+    weights = {}
+    for cycle_type, (c, count) in classes.items():
+        if count != class_size(cycle_type):
+            return None
+        weights[cycle_type] = c * count
+    return weights
+
+
+def _central_identity(weights: dict, n: int) -> bool:
+    """Whether the central element of Q[S_M] with class weights
+    {K: c_K |K|} (``_class_weights``) acts as zero on (Q^n)^(tensor M):
+    sum over K of c_K |K| chi^lambda(K) = 0 for every partition lambda of M
+    with at most n rows (``chident.character_column``)."""
+    if n < 1:
+        raise ValueError("matrix size must be >= 1")
+    totals = {}     # lambda -> sum over K of c_K |K| chi^lambda(K)
+    for cycle_type, weight in weights.items():
+        for shape, chi in character_column(cycle_type, n).items():
+            totals[shape] = totals.get(shape, 0) + weight * chi
+    return not any(totals.values())
+
+
+def is_trace_identity(p: TracePoly, n: int) -> bool:
+    """Exact check that p vanishes identically on n x n matrices.
 
     A term with 2^15 or more occurrences of one variable is refused up
     front with ``OverflowError``, before any fold (``_refuse_long_terms``).
     p is then scaled by the lcm of its coefficient denominators, which does
-    not change whether it vanishes, so the evaluation runs over int.  The
-    generic matrices are packed into keys private to the call, with fields
-    of w = bit_length(D) bits for p's degree D (``_pack``, where E = 1), and
-    ``evaluate``'s fold runs on them; its rows are tested for zero as they
-    are, with no MPoly built.
+    not change whether it vanishes, so the arithmetic runs over int.  The
+    verdict then carries one of two certificates, chosen by a property of p
+    alone.
+
+    Characters of S_M, for a central multilinear p (``_class_weights``):
+    every term reads each of p's m variables once and has no tr(1), and the
+    terms, read as permutations of M points (M = m, or m + 1 after pairing
+    a polynomial with a word part with a fresh variable, which keeps the
+    verdict because the trace form of M_n is nondegenerate), fill whole
+    conjugacy classes K with one coefficient c_K each.  On M_n such a p is
+    the trace of a = sum of c_K times the class sum of K acting on
+    V^(tensor M), V = Q^n, composed with A_1 tensor .. tensor A_M, and those
+    tensors span End(V^(tensor M)); so p vanishes iff a acts as zero
+    (Procesi 1976; Razmyslov 1974).  By Schur-Weyl duality V^(tensor M)
+    holds the irreducible S_lambda of S_M exactly for the partitions lambda
+    of M with at most n rows, and central a acts on it as the scalar
+    sum_K c_K |K| chi^lambda(K) / chi^lambda(1).  So p is an identity iff
+    those sums vanish (``_central_identity``), at a cost set by M and not
+    by n.
+
+    Generic matrices, for every other p (non-central, not multilinear, or
+    zero): the variable with the most letter occurrences in p (the
+    smallest index among ties) gets a generic diagonal matrix D, every
+    other variable a full generic matrix (``generic_assignment``).  The
+    check keeps its strength (Procesi 1976): p(g X g^-1) = g p(X) g^-1 for
+    every invertible g, and matrices with distinct eigenvalues, each
+    conjugate to a diagonal one, are Zariski-dense in M_n; so p vanishes on
+    all of M_n^k iff p(D, X_2, ..., X_k) is the zero polynomial.  Only one
+    matrix may be made diagonal: two diagonal matrices commute, and
+    x1*x2 - x2*x1 would pass.  The generic matrices are packed into keys
+    private to the call, with fields of w = bit_length(D) bits for p's
+    degree D (``_pack``, where E = 1), and ``evaluate``'s fold runs on
+    them; its rows are tested for zero as they are, with no MPoly built.
     """
     _refuse_long_terms(p)
     p = _integral(p)
+    weights = _class_weights(p)
+    if weights is not None:
+        return _central_identity(weights, n)
     rows = _pack(generic_assignment(p, n), _degree(p))[0]
     return not any(map(any, _fold(_term_trie(p), rows, n, _TermDicts)))
 

@@ -3,17 +3,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from tracealg.chident import (ch_multilinear, ch_poly, elementary_from_powersums,
-                              permutation_cycles, polarize, restitute, sigma,
-                              t_multilinear)
+from tracealg.characters import character_table, inner_product
+from tracealg.chident import (ch_multilinear, ch_poly, character_column, class_size,
+                              elementary_from_powersums, permutation_cycles, polarize,
+                              restitute, sigma, t_multilinear)
+from tracealg.findim import trace_kernel
 from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
 from tracealg.genmat import is_trace_identity
 from tracealg.mpoly import MPoly
+from tracealg.pseudochar import (PseudoCharTable, group_algebra, make_group,
+                                 symmetric_group_3)
 
 from mpoly_helpers import substitute
 
@@ -349,3 +354,102 @@ class TestAgainstTheOneTermOracles:
         p = TracePoly.sum(terms)
         if p:
             assert polarize(p).terms == oracle_polarize(p).terms
+
+
+# -- characters of S_m by Murnaghan-Nakayama ----------------------------------------
+
+def _partitions(m, largest=None):
+    largest = m if largest is None else largest
+    if m == 0:
+        return [()]
+    return [(first, *rest) for first in range(min(m, largest), 0, -1)
+            for rest in _partitions(m - first, first)]
+
+
+def _cycle_type(perm) -> tuple:
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _symmetric_group(m):
+    """S_m from its permutation table, with each element's permutation."""
+    perms = list(permutations(range(m)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(m))] for b in perms] for a in perms]
+    return make_group(table), perms
+
+
+def _table_by_cycle_type(m, types):
+    """The rows chi^lambda(element) over the elements of the given cycle
+    types, one row per partition lambda of m, as a sorted list."""
+    columns = {k: character_column(k, m) for k in set(types)}
+    return sorted(tuple(Fraction(columns[k].get(shape, 0)) for k in types)
+                  for shape in _partitions(m))
+
+
+class TestCharacterColumn:
+    def test_s3_matches_the_brute_force_table(self):
+        g = symmetric_group_3()
+        # in S_3 the element order is the cycle type: 1, 2 or 3
+        types = [{1: (1, 1, 1), 2: (2, 1), 3: (3,)}[g.element_order(a)]
+                 for a in range(g.order)]
+        assert _table_by_cycle_type(3, types) == sorted(map(tuple, character_table(g)))
+
+    def test_s4_rows_are_the_irreducible_characters(self):
+        """``character_table`` stops short on S_4 (order 24): its 2- and
+        3-dimensional characters are not induced from linear characters of
+        abelian subgroups.  So the rows are checked on the permutation table
+        with ``inner_product``: five rows of norm 1 and positive degree are
+        five distinct irreducible characters, as many as the classes."""
+        g, perms = _symmetric_group(4)
+        rows = _table_by_cycle_type(4, [_cycle_type(p) for p in perms])
+        assert len(rows) == len(_partitions(4)) == 5
+        for i, chi in enumerate(rows):
+            assert chi[0] > 0
+            for j, psi in enumerate(rows):
+                assert inner_product(g, chi, psi) == (i == j)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_degrees_and_column_orthogonality(self, m):
+        """sum f_lambda^2 = m!, and the columns K, L are orthogonal with
+        sum_lambda chi^lambda(K) chi^lambda(L) = [K = L] m! / |K|."""
+        shapes = _partitions(m)
+        columns = {k: character_column(k, m) for k in shapes}
+        assert set(columns[(1,) * m]) == set(shapes)     # every degree is positive
+        assert sum(f * f for f in columns[(1,) * m].values()) == factorial(m)
+        assert sum(class_size(k) for k in shapes) == factorial(m)
+        for k in shapes:
+            for l in shapes:
+                dot = sum(c * columns[l].get(shape, 0) for shape, c in columns[k].items())
+                assert dot == (factorial(m) // class_size(k) if k == l else 0), (k, l)
+
+    @pytest.mark.parametrize("m,rows", [(m, r) for m in range(1, 8) for r in range(1, m + 1)])
+    def test_fewer_rows_cut_the_column(self, m, rows):
+        for k in _partitions(m):
+            full = character_column(k, m)
+            assert character_column(k, rows) == {
+                shape: c for shape, c in full.items() if len(shape) <= rows}
+
+    def test_the_order_of_the_parts_does_not_matter(self):
+        assert character_column((1, 3, 2), 6) == character_column((3, 2, 1), 6)
+
+    @pytest.mark.parametrize("n,kernel", [(1, 23), (2, 10), (3, 1), (4, 0)])
+    def test_the_tensor_trace_kernel_of_q_s4(self, n, kernel):
+        """Q[S_4] traced by sigma -> n^(cycles of sigma), the character of
+        (Q^n)^(tensor 4): its trace kernel is the sum of the blocks of the
+        partitions with more than n rows, of dimension sum f_lambda^2 over
+        them.  This is the comparison of the Cayley-Hamilton quotient with
+        the representation it comes from."""
+        g, perms = _symmetric_group(4)
+        values = tuple(Fraction(n ** len(_cycle_type(p))) for p in perms)
+        k = trace_kernel(group_algebra(PseudoCharTable(g, n ** 4, values)))
+        degrees = character_column((1, 1, 1, 1), 4)
+        assert k.dim == kernel == sum(f * f for shape, f in degrees.items() if len(shape) > n)

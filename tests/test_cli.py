@@ -201,13 +201,17 @@ class TestVerifyBounds:
     freetrace.MAX_NESTING and a --random count above VERIFY_MAX_TRIALS, with
     exit 2 before any term is built."""
 
-    @pytest.mark.parametrize("poly", [f"builtin:ch{CHPOLY_MAX_N}", f"builtin:T{VERIFY_T_MAX_K}"])
-    def test_builtins_at_the_bound_run(self, poly):
-        # about 0.8 s and 30 MB, and 0.6 s and 45 MB (Python 3.11.7, 2 cores)
-        result, seconds = run_cli_process(["verify", "--poly", poly, "--size", "1"])
+    @pytest.mark.parametrize("poly, size", [(f"builtin:ch{CHPOLY_MAX_N}", 1),
+                                            (f"builtin:T{VERIFY_T_MAX_K}", 1),
+                                            (f"builtin:T{VERIFY_T_MAX_K}", 2)])
+    def test_builtins_at_the_bound_run(self, poly, size):
+        # about 0.8 s and 30 MB, and 0.25-0.5 s and 33 MB at either size, where
+        # the characters of S_8 decide T8; the generic-matrix fold took
+        # 1.35-1.45 s and 227 MB at size 2 (Python 3.11.7, 2 cores)
+        result, seconds = run_cli_process(["verify", "--poly", poly, "--size", str(size)])
         assert result.returncode == 0, result.stderr
         assert seconds < 10.0
-        assert result.stdout == f"identity: {poly} vanishes on all 1x1 matrices\n"
+        assert result.stdout == f"identity: {poly} vanishes on all {size}x{size} matrices\n"
 
     @pytest.mark.parametrize("poly, message", [
         (f"builtin:ch{CHPOLY_MAX_N + 1}",
@@ -225,6 +229,27 @@ class TestVerifyBounds:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert f"error: --poly: {poly}: {message}" in result.stderr
+
+    @pytest.mark.parametrize("poly, form", [
+        ("builtin:T", "builtin:T<k> with a positive integer k"),
+        ("builtin:Tx", "builtin:T<k> with a positive integer k"),
+        ("builtin:T0", "builtin:T<k> with a positive integer k"),
+        ("builtin:T-1", "builtin:T<k> with a positive integer k"),
+        ("builtin:T1.5", "builtin:T<k> with a positive integer k"),
+        ("builtin:T\u0663", "builtin:T<k> with a positive integer k"),
+        ("builtin:ch", "builtin:ch<n> with a positive integer n"),
+        ("builtin:chx", "builtin:ch<n> with a positive integer n"),
+        ("builtin:ch0", "builtin:ch<n> with a positive integer n")])
+    def test_a_malformed_builtin_names_its_form(self, runner, poly, form):
+        result = runner.invoke(main, ["verify", "--poly", poly, "--size", "2"])
+        assert result.exit_code == 2
+        assert result.output == f"error: --poly: {poly}: expected {form}\n"
+
+    def test_a_builtin_degree_past_int_conversion_is_above_the_bound(self, runner):
+        poly = "builtin:T" + "9" * 5000
+        result = runner.invoke(main, ["verify", "--poly", poly, "--size", "1"])
+        assert result.exit_code == 2
+        assert result.output.endswith(f" is above the bound {VERIFY_T_MAX_K}\n")
 
     def test_random_count_at_the_bound_runs(self):
         # every one of the trials of a commutator at size 1 vanishes

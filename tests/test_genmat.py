@@ -1,6 +1,7 @@
 """Evaluation on matrices, identity checking, diagonal models."""
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracealg import linalg
-from tracealg.chident import ch_multilinear, ch_poly, t_multilinear
+from tracealg.chident import (ch_multilinear, ch_poly, character_column,
+                              permutation_cycles, t_multilinear)
 from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
 from tracealg import genmat
 from tracealg.genmat import (_bezout_matrix, _monic_coefficients,
@@ -711,3 +713,241 @@ class TestDeterminantOracle:
                 assert det == 0, a
             point = {f"a{j}": x for j, x in enumerate(a, start=1)}
             assert substitute(disc, point).constant_value() == det, a
+
+
+# -- central multilinear identities: characters of S_M against the fold -----------
+
+def fold_verdict(p: TracePoly, n: int) -> bool:
+    """The generic-matrix certificate alone: ``is_trace_identity``'s fold,
+    with no route through the characters of S_M."""
+    p = genmat._integral(p)
+    rows = genmat._pack(generic_assignment(p, n), genmat._degree(p))[0]
+    return not any(map(any, genmat._fold(genmat._term_trie(p), rows, n, genmat._TermDicts)))
+
+
+def fold_is_cheap(p: TracePoly, n: int) -> bool:
+    # T5 at size 5 and the multilinear CH_4 at size 5 sit at the edge, about
+    # 65 and 22 ms; T6 at size 3 is past it, about 80 ms
+    return len(p.terms) * n * n <= 3000
+
+
+def routed(p: TracePoly) -> bool:
+    return genmat._class_weights(genmat._integral(p)) is not None
+
+
+def group_element(p: TracePoly) -> tuple:
+    """(M, {permutation of range(M): coefficient}) for a multilinear p, the
+    variables sorted onto 0..m-1 and a word w read as the cycle w y through
+    a fresh point y = m when some term has a word part."""
+    variables = sorted(p.variables())
+    point = {v: i for i, v in enumerate(variables)}
+    paired = any(w for w, _ in p.terms)
+    size = len(variables) + paired
+    element = {}
+    for (w, traces), c in p.terms.items():
+        cycles = [[point[v] for v in t] for t in traces]
+        if paired:
+            cycles.append([point[v] for v in w] + [size - 1])
+        perm = [None] * size
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                perm[a] = b
+        element[tuple(perm)] = element.get(tuple(perm), 0) + c
+    return size, element
+
+
+def _cycle_count(perm) -> int:
+    seen, count = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            count += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return count
+
+
+def acts_as_zero(p: TracePoly, n: int) -> bool:
+    """The theory verdict of a multilinear p at size n, with explicit
+    permutations: a = sum c_sigma sigma acts as zero on (Q^n)^(tensor M)
+    iff t(a rho) = 0 for every rho in S_M, where t(sigma) = n^(cycles of
+    sigma) is the trace of sigma there, since the trace form of the image
+    of Q[S_M] (a semisimple algebra) is nondegenerate."""
+    size, element = group_element(p)
+    return not any(
+        sum(c * n ** _cycle_count([sigma[r] for r in rho]) for sigma, c in element.items())
+        for rho in permutations(range(size)))
+
+
+def class_function(coefficient, m: int, paired: bool) -> TracePoly:
+    """sum over S_M of coefficient(cycle type) T_sigma, M = m + paired; when
+    paired, the cycle through M, rotated to end at M and cut there, is the
+    word, so that p's pairing with x_M is the class function."""
+    size = m + paired
+    terms = {}
+    for _, cycles in permutation_cycles(size):
+        c = coefficient(tuple(sorted(map(len, cycles))))
+        if not c:
+            continue
+        if paired:
+            at = next(i for i, cyc in enumerate(cycles) if size in cyc)
+            cyc = cycles[at]
+            pos = cyc.index(size)
+            word, rest = cyc[pos + 1:] + cyc[:pos], cycles[:at] + cycles[at + 1:]
+        else:
+            word, rest = (), cycles
+        terms[(word, tuple(sorted(rest, key=len)))] = c
+    return TracePoly(terms)
+
+
+def relabeled(p: TracePoly, seed: int) -> TracePoly:
+    """An injective relabeling of p's variables and a rational multiple of
+    it, both drawn from the seed."""
+    rng = random.Random(seed)
+    old = sorted(p.variables())
+    new = rng.sample(range(1, len(old) + 3), len(old))
+    scale = Fraction(rng.choice((-1, 1)) * rng.choice((1, 3, 5)), rng.choice((1, 2, 7)))
+    return scale * p._relabel(dict(zip(old, new)))
+
+
+def _partitions(m):
+    """Every partition of m: the shapes of the degrees chi^lambda(1), all
+    positive (``tests/test_chident.py`` checks the column)."""
+    return list(character_column((1,) * m, m))
+
+
+MULTILINEAR_BASES = ([(f"T{k}", t_multilinear(k), k, lambda n, k=k: n <= k - 1)
+                      for k in range(2, 7)]
+                     + [(f"chm{n}", ch_multilinear(n), n, lambda m, n=n: m <= n)
+                        for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("p,m,theory", [pytest.param(p, m, theory, id=label)
+                                        for label, p, m, theory in MULTILINEAR_BASES])
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_the_character_route_agrees_with_the_fold_and_theory(p, m, theory, seed):
+    if seed is not None:
+        p = relabeled(p, seed)
+    assert routed(p)
+    for n in range(1, m + 2):
+        verdict = is_trace_identity(p, n)
+        assert verdict is theory(n), n
+        if fold_is_cheap(p, n):
+            assert fold_verdict(p, n) is verdict, n
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_class_functions_agree_with_the_tensor_trace(seed):
+    """Central elements of Q[S_M] with int and Fraction coefficients, some of
+    them zero, pure trace (M = m <= 5) or paired (M = m + 1 <= 5): either
+    one coefficient per class, or, at odd seeds, a combination of the
+    characters of the partitions of M with more than r rows, r drawn, which
+    is an identity up to size r at least."""
+    rng = random.Random(seed)
+    paired = rng.random() < 0.5
+    m = rng.randint(1, 4 if paired else 5)
+    size = m + paired
+    values = (0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2))
+    chosen = {}
+    if seed % 2:
+        rows = rng.randint(0, size - 1)
+        weights = {shape: rng.choice(values) for shape in _partitions(size)
+                   if len(shape) > rows}
+
+        def coefficient(k):
+            column = character_column(k, size)
+            return sum(a * column.get(shape, 0) for shape, a in weights.items())
+    else:
+        def coefficient(k):
+            return chosen.setdefault(k, rng.choice(values))
+    p = relabeled(class_function(coefficient, m, paired), seed)
+    if not p.terms:
+        return
+    assert routed(p)
+    for n in range(1, m + 2):
+        verdict = is_trace_identity(p, n)
+        assert verdict is acts_as_zero(p, n), (n, chosen)
+        if fold_is_cheap(p, n):
+            assert fold_verdict(p, n) is verdict, (n, chosen)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("paired", [False, True])
+def test_class_sums_are_identities_exactly_below_their_rows(m, paired):
+    """sum over sigma of chi^lambda(sigma) T_sigma acts on (Q^n)^(tensor M)
+    through the isotypic part of lambda, which is there iff lambda has at
+    most n rows: an identity exactly for n < rows(lambda)."""
+    size = m + paired
+    if size > 6:
+        return
+    columns = {tuple(sorted(k)): character_column(k, size) for k in _partitions(size)}
+    for shape in _partitions(size):
+        p = class_function(lambda k: columns[k].get(shape, 0), m, paired)
+        assert routed(p)
+        for n in range(1, size + 1):
+            verdict = is_trace_identity(p, n)
+            assert verdict is (n < len(shape)), (shape, n)
+            if fold_is_cheap(p, n):
+                assert fold_verdict(p, n) is verdict, (shape, n)
+
+
+class TestOnlyCentralMultilinearInputsTakeTheCharacterRoute:
+    @pytest.mark.parametrize("p", [
+        _standard_polynomial(4),
+        parse_trace_poly("(x1*x2 - x2*x1)^2*x3 - x3*(x1*x2 - x2*x1)^2"),
+        ch_poly(2), ch_poly(3),
+        t_multilinear(3) * formal_trace(TracePoly.one()),
+        formal_trace(x(1)) - formal_trace(x(2)),
+        TracePoly.zero(),
+    ], ids=["s4", "hall", "ch2", "ch3", "T3*tr(1)", "tr(x1)-tr(x2)", "zero"])
+    def test_the_rest_goes_to_the_fold(self, p):
+        assert not routed(p)
+
+    def test_a_missing_permutation_or_a_second_coefficient_is_not_central(self):
+        t3 = t_multilinear(3)
+        key = next(k for k in t3.terms if len(k[1]) == 1)     # a 3-cycle
+        assert not routed(TracePoly({k: c for k, c in t3.terms.items() if k != key}))
+        assert not routed(t3 + TracePoly({key: 1}))
+        assert not routed(t3 + TracePoly({key: -2}))
+
+    def test_s4_is_decided_by_the_fold(self, monkeypatch):
+        """tr(s4 x5) holds every 5-cycle, with the signs of S_4: not central."""
+        s4 = _standard_polynomial(4)
+
+        def no_route(weights, n):
+            raise AssertionError("s4 took the character route")
+        monkeypatch.setattr(genmat, "_central_identity", no_route)
+        assert is_trace_identity(s4, 2) and not is_trace_identity(s4, 3)
+
+    @pytest.mark.parametrize("label,p,m,theory", MULTILINEAR_BASES,
+                             ids=[b[0] for b in MULTILINEAR_BASES])
+    def test_the_bases_never_reach_the_fold(self, monkeypatch, label, p, m, theory):
+        def no_fold(*args):
+            raise AssertionError(f"{label} reached the fold")
+        monkeypatch.setattr(genmat, "_fold", no_fold)
+        assert [is_trace_identity(p, n) for n in range(1, m + 2)] == \
+            [theory(n) for n in range(1, m + 2)]
+
+    def test_a_size_below_one_is_refused_on_both_routes(self):
+        for p in (t_multilinear(3), ch_poly(2)):
+            with pytest.raises(ValueError, match="size must be >= 1"):
+                is_trace_identity(p, 0)
+
+
+def test_t7_at_size_3_stays_small():
+    """The fold's tracemalloc peak here was 155 MiB; the characters of S_7
+    need a few."""
+    p = t_multilinear(7)
+    tracemalloc.start()
+    try:
+        assert is_trace_identity(p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+
+
+def test_t7_at_size_6_is_an_identity():
+    # a size the fold cannot reach: T7 vanishes on n x n matrices iff n <= 6
+    assert is_trace_identity(t_multilinear(7), 6)
+    assert not is_trace_identity(t_multilinear(7), 7)
