@@ -135,14 +135,20 @@ def _sub_table(g: FiniteGroup, elems):
 
 
 def _generating_sequence(g: FiniteGroup):
-    gens = []
-    span = subgroup_closure(g, [g.identity])
-    for a in range(g.order):
-        if a not in span:
-            gens.append(a)
-            span = subgroup_closure(g, gens)
-            if len(span) == g.order:
-                break
+    """Generators of g, each the element outside the span of those before it
+    whose powers meet the span least, then of largest order, then least: the
+    prod o_i candidates of ``linear_characters_abelian`` are |G| times those
+    meets, so |G| for a cyclic group, whatever its labels."""
+    def rank(a):
+        powers = [a]
+        while powers[-1] != g.identity:
+            powers.append(g.table[powers[-1]][a])
+        return sum(x in span for x in powers), -len(powers), a
+
+    gens, span = [], {g.identity}
+    while len(span) < g.order:
+        gens.append(min((a for a in range(g.order) if a not in span), key=rank))
+        span = subgroup_closure(g, gens)
     return gens
 
 

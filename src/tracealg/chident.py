@@ -16,48 +16,21 @@ from itertools import permutations
 from math import factorial
 
 from .freetrace import TracePoly, sort_traces
-from .mpoly import MPoly
-
-
-def _psi(j: int) -> MPoly:
-    return MPoly.var(f"psi{j}")
 
 
 @lru_cache(maxsize=None)
-def elementary_from_powersums(k: int) -> MPoly:
-    """e_k as a polynomial in the power sums psi_1..psi_k.
-
-    Newton's recursion: (m+1) e_{m+1} = (-1)^m psi_{m+1}
-                                        + sum_{i=1}^m (-1)^{i-1} psi_i e_{m+1-i}.
-    """
+def sigma(k: int) -> TracePoly:
+    """sigma_k(x): the k-th characteristic coefficient as a pure trace
+    polynomial in the power sums tr(x^i), by Newton's identities:
+    k sigma_k = sum_{i=1}^k (-1)^(i-1) tr(x^i) sigma_{k-i}, sigma_0 = 1."""
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    if k == 1:
-        return _psi(1)
-    m = k - 1
-    terms = dict((Fraction((-1) ** m, m + 1) * _psi(m + 1)).terms)
-    for i in range(1, m + 1):
-        MPoly.add_product(terms, _psi(i), elementary_from_powersums(m + 1 - i),
-                          Fraction((-1) ** (i - 1), m + 1))
-    return MPoly(terms)
-
-
-def _psi_monomial_to_traces(mono) -> TracePoly:
-    traces = []
-    for name, exp in mono:
-        j = int(name[3:])
-        traces.extend([(1,) * j] * exp)
-    return TracePoly.monomial((), traces)
-
-
-@lru_cache(maxsize=None)
-def sigma(i: int) -> TracePoly:
-    """sigma_i(x): the i-th characteristic coefficient as a pure trace polynomial."""
-    if i <= 0:
-        raise ValueError("i must be a positive integer")
-    ek = elementary_from_powersums(i)
-    return TracePoly.sum((c, _psi_monomial_to_traces(MPoly.decode(key)))
-                         for key, c in ek.terms.items())
+    terms = {}
+    for i in range(1, k + 1):
+        TracePoly.add_product(terms, TracePoly.trace_symbol((1,) * i),
+                              sigma(k - i) if i < k else TracePoly.one(),
+                              Fraction(-1 if i % 2 == 0 else 1, k))
+    return TracePoly._wrap(terms)
 
 
 @lru_cache(maxsize=None)

@@ -85,6 +85,11 @@ VERIFY_MAX_TRIALS = 200
 # a printable witness
 VERIFY_WITNESS_TRIALS = 200
 
+# verify parses --poly under this degree bound, so x1^99999999999 exits 2
+# before its word is built; the bound sits above the identity check's 2^15
+# refusal, which x^32768 still meets
+VERIFY_MAX_DEGREE = 1 << 16
+
 
 def _builtin_degree(name: str, prefix: str, letter: str, bound: int) -> int:
     """The positive integer, at most ``bound``, that follows ``prefix`` in
@@ -107,13 +112,14 @@ def _builtin_poly(name: str) -> TracePoly:
         return chident.ch_poly(_builtin_degree(name, "builtin:ch", "n", CHPOLY_MAX_N))
     if name.startswith("builtin:T"):
         return chident.t_multilinear(_builtin_degree(name, "builtin:T", "k", VERIFY_T_MAX_K))
-    return parse_trace_poly(name)
+    return parse_trace_poly(name, max_degree=VERIFY_MAX_DEGREE)
 
 
 @main.command()
 @click.option("--poly", required=True,
-              help=f"Expression, builtin:chN with N at most {CHPOLY_MAX_N}, "
-                   f"or builtin:Tk with k at most {VERIFY_T_MAX_K}.")
+              help=f"Expression of degree at most {VERIFY_MAX_DEGREE}, builtin:chN "
+                   f"with N at most {CHPOLY_MAX_N}, or builtin:Tk with k at most "
+                   f"{VERIFY_T_MAX_K}.")
 @click.option("--size", "size", type=int, required=True, help="Matrix size n.")
 @click.option("--random", "trials", type=click.IntRange(min=0), default=0,
               help="Try this many random integer tuples before the symbolic check, "

@@ -19,7 +19,8 @@ trials of ``random_counterexample`` use.  The private keys give each entry
 variable a field of w = bit_length(D E) bits, D the largest term degree of
 p and E the largest exponent in an entry; no monomial the fold forms has
 an exponent above D E, so keys multiply by plain ``+`` with no carry and
-no guard check, and they are only as wide as the input needs (``_pack``).
+no guard check, and they are only as wide as the input needs (``_pack``
+for ``evaluate``'s MPoly matrices, ``_generic_rows`` for the identity check).
 Random integer search is only an accelerator for finding counterexamples:
 it clears the denominators of p and folds int entries, and a witness is
 returned only when its exact evaluation is nonzero.
@@ -37,7 +38,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import lcm
 from operator import add, mul
 
@@ -58,12 +59,6 @@ def generic_matrix(i: int, n: int) -> PolyMatrix:
         raise ValueError("matrix size must be >= 1")
     return PolyMatrix([[MPoly.var(entry_name(i, h, k)) for k in range(1, n + 1)]
                        for h in range(1, n + 1)])
-
-
-def generic_diagonal_matrix(i: int, n: int) -> PolyMatrix:
-    """The diagonal matrix of the diagonal indeterminates of variable i."""
-    return PolyMatrix([[MPoly.var(entry_name(i, h, h)) if h == k else 0
-                        for k in range(1, n + 1)] for h in range(1, n + 1)])
 
 
 def rational_matrix(rows) -> PolyMatrix:
@@ -109,7 +104,7 @@ class _TermDicts:
     a term dict from packed monomial keys private to the call (see
     ``_pack``) to int or Fraction coefficients, grown in place, and a
     matrix is a list of rows.  A product's key is the sum of its factors'
-    keys, with no guard check: ``_pack`` makes every field wide enough.
+    keys, with no guard check: every field is wide enough.
 
     An entry ring gives ``_fold`` the zero and constant scalars, the
     identity matrix and the five steps that touch entries: the prefix
@@ -288,9 +283,9 @@ def _degree(p: TracePoly) -> int:
 
 
 def _pack(matrices, degree: int) -> tuple:
-    """The PolyMatrix values of ``matrices`` as lists of rows of term dicts
-    in keys private to one fold of a polynomial of ``degree`` (``_degree``),
-    returned as (rows by variable, field names, field width).
+    """``evaluate``'s PolyMatrix values ``matrices`` as lists of rows of term
+    dicts in keys private to one fold of a polynomial of ``degree``
+    (``_degree``), returned as (rows by variable, field names, field width).
 
     The entry variables are numbered in order of first appearance, and
     variable j gets bits j w to j w + w - 1 of a plain ``int``, with
@@ -397,10 +392,10 @@ def _integral(p: TracePoly) -> TracePoly:
 
 
 def _refuse_long_terms(p: TracePoly) -> None:
-    """Raise mpoly's ``OverflowError`` if a term of p holds 2^15 or more
-    occurrences of one variable: the generic evaluation of such a term has
-    a monomial with an exponent that MPoly keys cannot hold (the product of
-    the (1,1) entries along its path)."""
+    """Raise ``OverflowError`` if a term of p holds 2^15 or more occurrences
+    of one variable: a stated bound of the identity check, not a limit of
+    its keys, with the message of ``mpoly``'s bound on exponents, which
+    ``evaluate`` would meet on the generic value of such a term."""
     for w, traces in p.terms:
         if (len(w) + sum(map(len, traces)) >= EXPONENT_BOUND
                 and max(Counter(chain(w, *traces)).values()) >= EXPONENT_BOUND):
@@ -467,8 +462,8 @@ def _central_identity(weights: dict, n: int) -> bool:
 def is_trace_identity(p: TracePoly, n: int) -> bool:
     """Exact check that p vanishes identically on n x n matrices.
 
-    A term with 2^15 or more occurrences of one variable is refused up
-    front with ``OverflowError``, before any fold (``_refuse_long_terms``).
+    A term with 2^15 or more occurrences of one variable is refused with
+    ``OverflowError`` before any fold, a stated bound (``_refuse_long_terms``).
     p is then scaled by the lcm of its coefficient denominators, which does
     not change whether it vanishes, so the arithmetic runs over int.  The
     verdict then carries one of two certificates, chosen by a property of p
@@ -491,39 +486,45 @@ def is_trace_identity(p: TracePoly, n: int) -> bool:
     by n.
 
     Generic matrices, for every other p (non-central, not multilinear, or
-    zero): the variable with the most letter occurrences in p (the
-    smallest index among ties) gets a generic diagonal matrix D, every
-    other variable a full generic matrix (``generic_assignment``).  The
-    check keeps its strength (Procesi 1976): p(g X g^-1) = g p(X) g^-1 for
-    every invertible g, and matrices with distinct eigenvalues, each
-    conjugate to a diagonal one, are Zariski-dense in M_n; so p vanishes on
-    all of M_n^k iff p(D, X_2, ..., X_k) is the zero polynomial.  Only one
+    zero): the variable with the most occurrences in p (the smallest index
+    among ties) gets a generic diagonal matrix D, every other variable a
+    full generic matrix.  The check keeps its strength (Procesi 1976):
+    p(g X g^-1) = g p(X) g^-1 for every invertible g, and matrices with
+    distinct eigenvalues, each conjugate to a diagonal one, are
+    Zariski-dense in M_n; so p vanishes on all of M_n^k iff
+    p(D, X_2, ..., X_k) is the zero polynomial.  Only one
     matrix may be made diagonal: two diagonal matrices commute, and
-    x1*x2 - x2*x1 would pass.  The generic matrices are packed into keys
-    private to the call, with fields of w = bit_length(D) bits for p's
-    degree D (``_pack``, where E = 1), and ``evaluate``'s fold runs on
-    them; its rows are tested for zero as they are, with no MPoly built.
+    x1*x2 - x2*x1 would pass.  The generic matrices are built straight in
+    keys private to the call (``_generic_rows``) and ``evaluate``'s fold
+    runs on them; its rows are tested for zero as they are, so no MPoly or
+    PolyMatrix is built.
     """
     _refuse_long_terms(p)
     p = _integral(p)
     weights = _class_weights(p)
     if weights is not None:
         return _central_identity(weights, n)
-    rows = _pack(generic_assignment(p, n), _degree(p))[0]
-    return not any(map(any, _fold(_term_trie(p), rows, n, _TermDicts)))
+    return not any(map(any, _fold(_term_trie(p), _generic_rows(p, n), n, _TermDicts)))
 
 
-def generic_assignment(p: TracePoly, n: int) -> dict:
-    """The matrices ``is_trace_identity`` evaluates p on: a generic diagonal
-    matrix for the variable with the most letter occurrences in p (the
-    smallest index among ties), a full generic matrix for every other."""
-    assignment = {i: generic_matrix(i, n) for i in p.variables()}
-    if assignment:
-        occurrences = Counter(letter for w, traces in p.terms
-                              for word in (w, *traces) for letter in word)
-        diagonal = min(assignment, key=lambda i: (-occurrences[i], i))
-        assignment[diagonal] = generic_diagonal_matrix(diagonal, n)
-    return assignment
+def _generic_rows(p: TracePoly, n: int) -> dict:
+    """The matrices ``is_trace_identity`` folds p on, as rows of term dicts
+    in keys private to the call: a generic diagonal matrix for the variable
+    with the most occurrences in p (the least among ties), a full generic
+    matrix for every other.  Each entry is one indeterminate in its own field
+    of w = max(1, bit_length(D)) bits, D = ``_degree(p)``, numbered variable
+    by variable in increasing order, then row by row; no exponent of the
+    fold exceeds D < 2^w, so keys multiply by plain ``+`` as in ``_pack``."""
+    variables = sorted(p.variables())
+    if variables and n < 1:
+        raise ValueError("matrix size must be >= 1")
+    occurrences = Counter(chain.from_iterable(chain(w, *traces) for w, traces in p.terms))
+    diagonal = min(variables, key=lambda i: (-occurrences[i], i), default=None)
+    width = max(1, _degree(p).bit_length())
+    fields = count()
+    return {i: [[{1 << next(fields) * width: 1} if i != diagonal or h == k else {}
+                 for k in range(n)] for h in range(n)]
+            for i in variables}
 
 
 def random_counterexample(p: TracePoly, n: int, trials: int = 10, seed: int = 0):

@@ -17,11 +17,14 @@ every live key is read against it.  Code outside this module reads a key
 only through ``MPoly.decode``.
 
 In a long-lived process the table grows with every name ever used, and so
-does the width of a key.  ``genmat``'s trace-polynomial fold therefore does
-not multiply in this packing: it decodes its input matrices into keys
-private to the call, packed only as wide as the input needs, and comes
-back through ``MPoly.monomial`` (which keeps the 2^15 bound) only for the
-result of ``genmat.evaluate``.
+does the width of a key.  So names are minted only where a commutative
+polynomial is the answer: the discriminant, the diagonal model,
+``genrank``'s generic elements and the matrices passed to
+``genmat.evaluate``.  ``genmat``'s trace-polynomial fold never multiplies
+in this packing: ``evaluate`` decodes its input matrices into keys private
+to the call and comes back through ``MPoly.monomial`` (which keeps the 2^15
+bound) for its result, and ``is_trace_identity`` builds its generic
+matrices in such keys directly, with no name.
 """
 from __future__ import annotations
 

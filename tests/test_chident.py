@@ -2,6 +2,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -11,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from tracealg.characters import character_table, inner_product
 from tracealg.chident import (ch_multilinear, ch_poly, character_column, class_size,
-                              elementary_from_powersums, permutation_cycles, polarize,
-                              restitute, sigma, t_multilinear)
+                              permutation_cycles, polarize, restitute, sigma,
+                              t_multilinear)
 from tracealg.findim import trace_kernel
 from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
-from tracealg.genmat import is_trace_identity
+from tracealg.genmat import evaluate, is_trace_identity, rational_matrix
 from tracealg.mpoly import MPoly
 from tracealg.pseudochar import (PseudoCharTable, group_algebra, make_group,
                                  symmetric_group_3)
@@ -39,6 +40,35 @@ def eval_symmetric(values):
     return psi, e
 
 
+def _psi(j: int) -> MPoly:
+    return MPoly.var(f"psi{j}")
+
+
+@lru_cache(maxsize=None)
+def elementary_from_powersums(k: int) -> MPoly:
+    """The oracle: e_k as a commutative polynomial in the power sums
+    psi_1..psi_k, by Newton's recursion
+    (m+1) e_{m+1} = (-1)^m psi_{m+1} + sum_{i=1}^m (-1)^{i-1} psi_i e_{m+1-i}."""
+    if k <= 0:
+        raise ValueError("k must be a positive integer")
+    if k == 1:
+        return _psi(1)
+    m = k - 1
+    terms = dict((Fraction((-1) ** m, m + 1) * _psi(m + 1)).terms)
+    for i in range(1, m + 1):
+        MPoly.add_product(terms, _psi(i), elementary_from_powersums(m + 1 - i),
+                          Fraction((-1) ** (i - 1), m + 1))
+    return MPoly(terms)
+
+
+def powersums_to_traces(e: MPoly) -> TracePoly:
+    """An MPoly in psi_1, psi_2, .. with each psi_j read as tr(x^j)."""
+    return TracePoly.sum(
+        (c, TracePoly.monomial((), [(1,) * int(name[3:]) for name, exp in MPoly.decode(key)
+                                    for _ in range(exp)]))
+        for key, c in e.terms.items())
+
+
 class TestNewtonRecursion:
     def test_first_values(self):
         psi1 = MPoly.var("psi1")
@@ -49,6 +79,9 @@ class TestNewtonRecursion:
             Fraction(1, 2) * (psi1 * psi1 - psi2)
         assert elementary_from_powersums(3) == \
             Fraction(1, 6) * (psi1 ** 3 - 3 * psi1 * psi2 + 2 * psi3)
+        assert sigma(1) == parse_trace_poly("tr(x)")
+        assert sigma(2) == parse_trace_poly("1/2*tr(x)^2 - 1/2*tr(x^2)")
+        assert sigma(3) == parse_trace_poly("1/6*tr(x)^3 - 1/2*tr(x^2)*tr(x) + 1/3*tr(x^3)")
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_against_numeric_oracle(self, k):
@@ -57,10 +90,20 @@ class TestNewtonRecursion:
         psi, e = eval_symmetric(values)
         point = {f"psi{j}": psi[j] for j in range(1, k + 1)}
         assert substitute(elementary_from_powersums(k), point).constant_value() == e[k]
+        diagonal = rational_matrix([[v if h == j else 0 for j in range(k)]
+                                    for h, v in enumerate(values)])
+        scalar = rational_matrix([[e[k] if h == j else 0 for j in range(k)] for h in range(k)])
+        assert evaluate(sigma(k), {1: diagonal}, k) == scalar
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_sigma_is_the_commutative_recursion_read_in_traces(self, k):
+        assert sigma(k) == powersums_to_traces(elementary_from_powersums(k))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             elementary_from_powersums(0)
+        with pytest.raises(ValueError):
+            sigma(0)
 
 
 class TestSigma:

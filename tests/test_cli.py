@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from tracealg.characters import character_table
 import tracealg
 from tracealg.cli import (CHDEG_MAX_MULTISETS, CHDEG_MAX_NMAX, CHPOLY_MAX_N,
-                          STRATA_MAX_N, VERIFY_MAX_TRIALS, VERIFY_T_MAX_K, main)
+                          STRATA_MAX_N, VERIFY_MAX_DEGREE, VERIFY_MAX_TRIALS,
+                          VERIFY_T_MAX_K, main)
 from tracealg.freetrace import MAX_NESTING
 from tracealg.findim import make_algebra, weighted_semisimple
 from tracealg.jsonio import dump_algebra
@@ -270,6 +271,19 @@ class TestVerifyBounds:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert f"error: --random {count} is above the bound {VERIFY_MAX_TRIALS}" in result.stderr
+
+    @pytest.mark.parametrize("poly, degree", [("x1^99999999999", 99999999999),
+                                              ("tr(x1^99999999999)", 99999999999),
+                                              ("(x1*x2)^40000", 80000)])
+    def test_a_degree_above_the_bound_exits_2_at_once(self, poly, degree):
+        # x1^99999999999 ended in a MemoryError traceback while its word was built
+        result, seconds = run_cli_process(["verify", "--poly", poly, "--size", "1"])
+        assert result.returncode == 2
+        assert seconds < 1.0
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert (f"error: --poly: degree {degree} is above the bound {VERIFY_MAX_DEGREE}"
+                in result.stderr)
 
     @pytest.mark.parametrize("argv, code", [(["polarize", "--expr"], 0),
                                             (["verify", "--size", "1", "--poly"], 1)])

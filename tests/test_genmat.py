@@ -2,6 +2,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -15,7 +16,6 @@ from tracealg.freetrace import TracePoly, formal_trace, parse_trace_poly, x
 from tracealg import genmat
 from tracealg.genmat import (_bezout_matrix, _monic_coefficients,
                              diagonal_model, discriminant_relation, entry_name, evaluate,
-                             generic_assignment, generic_diagonal_matrix,
                              generic_discriminant, generic_matrix,
                              is_trace_identity, random_counterexample,
                              rational_matrix, repeated_root_coordinates)
@@ -55,6 +55,26 @@ def all_generic_verdict(p: TracePoly, n: int) -> bool:
     every variable."""
     return reference_evaluate(
         p, {i: generic_matrix(i, n) for i in p.variables()}, n).is_zero()
+
+
+def generic_diagonal_matrix(i: int, n: int) -> PolyMatrix:
+    """The diagonal matrix of the diagonal indeterminates of variable i."""
+    return PolyMatrix([[MPoly.var(entry_name(i, h, h)) if h == k else 0
+                        for k in range(1, n + 1)] for h in range(1, n + 1)])
+
+
+def generic_assignment(p: TracePoly, n: int) -> dict:
+    """The oracle of the matrices ``is_trace_identity`` folds p on, as
+    PolyMatrix values in sorted variable order: a generic diagonal matrix
+    for the variable with the most occurrences in p (the smallest index
+    among ties), a full generic matrix for every other."""
+    assignment = {i: generic_matrix(i, n) for i in sorted(p.variables())}
+    if assignment:
+        occurrences = Counter(letter for w, traces in p.terms
+                              for word in (w, *traces) for letter in word)
+        diagonal = min(assignment, key=lambda i: (-occurrences[i], i))
+        assignment[diagonal] = generic_diagonal_matrix(diagonal, n)
+    return assignment
 
 
 class TestGenericMatrix:
@@ -379,6 +399,16 @@ def trace_polynomials(draw, n):
 def test_diagonal_reduction_matches_the_all_generic_oracle(case):
     n, p = case
     assert is_trace_identity(p, n) is all_generic_verdict(p, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), trace_polynomials(n))))
+def test_generic_rows_are_the_packed_oracle_assignment(case):
+    # the oracle dict is in sorted variable order, so _pack numbers its
+    # fields as _generic_rows does, and the rows must match key for key
+    n, p = case
+    expected = genmat._pack(generic_assignment(p, n), genmat._degree(p))[0]
+    assert genmat._generic_rows(p, n) == expected
 
 
 # -- the factored evaluator against the term-by-term oracle -----------------------

@@ -5,10 +5,15 @@ module imports a name it never uses, every function has a caller in the
 library or the benchmark, ``findim`` imports no free-algebra module,
 ``cyclotomic`` only ``sparse`` and ``linalg`` no ``tracealg`` module at
 all, only the algebra's own methods and its JSON dump read its structure
-constants, no function in ``genmat`` calls itself, and ``genrank`` reads
-its random numbers only where it makes its specialization points.
+constants, no function in ``genmat`` calls itself, ``genrank`` reads
+its random numbers only where it makes its specialization points,
+``chident`` imports nothing from ``mpoly``, and the generic-matrix fold of
+``is_trace_identity`` adds no name to ``mpoly``'s table.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,6 +174,51 @@ def test_only_the_algebra_reads_its_structure_constants():
             readers.extend(f"{path.name}:{node.lineno}" for node in ast.walk(top)
                            if isinstance(node, ast.Attribute) and node.attr == "mul")
     assert not readers, f".mul read outside TraceAlgebra and dump_algebra: {readers}"
+
+
+def test_chident_stays_in_the_free_trace_algebra():
+    """``chident`` builds sigma_k by Newton's identities on the trace
+    polynomials tr(x^i) themselves, so it imports nothing from ``mpoly``."""
+    found = sorted(_imported_modules("chident") & {"mpoly", "MPoly", "PolyMatrix"})
+    assert not found, f"chident.py imports {found}"
+
+
+# Each input reaches the fold (it is not central multilinear) and is no
+# identity at its size; the script prints the table's length around the calls.
+_FOLD_NAMES_SCRIPT = """
+from itertools import permutations
+from tracealg import genmat, mpoly
+from tracealg.chident import ch_poly
+from tracealg.freetrace import TracePoly, parse_trace_poly
+
+s4 = TracePoly.sum((-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+                   * TracePoly.word(perm) for perm in permutations(range(1, 5)))
+hall = parse_trace_poly("(x1*x2 - x2*x1)^2*x3 - x3*(x1*x2 - x2*x1)^2")
+cases = [(s4, 3), (hall, 3), (ch_poly(4), 5)]
+before = len(mpoly._NAMES)
+for p, n in cases:
+    if genmat._class_weights(genmat._integral(p)) is not None:
+        raise SystemExit("an input took the character route")
+    if genmat.is_trace_identity(p, n):
+        raise SystemExit("an input was decided as an identity")
+print(before, len(mpoly._NAMES))
+"""
+
+
+def test_the_identity_fold_adds_no_mpoly_name():
+    """``is_trace_identity`` builds its generic matrices straight in keys
+    private to the call, so deciding s4 at size 3, Hall's polynomial at
+    size 3 and CH_4 at size 5 on the fold leaves ``mpoly._NAMES`` as it
+    was.  It runs in a fresh interpreter, where no other test has named
+    the entry variables already."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", _FOLD_NAMES_SCRIPT],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr or result.stdout
+    before, after = map(int, result.stdout.split())
+    assert after == before, f"the fold added {after - before} mpoly names"
 
 
 def test_cyclotomic_is_an_exact_scalar():

@@ -642,21 +642,22 @@ SESSION_GROUPS = {
 }
 
 
-def _relabeled(g, seed):
+def _relabeling(g, seed):
+    """(perm, g with each element a renamed perm[a]), perm seeded."""
     perm = list(range(g.order))
     random.Random(seed).shuffle(perm)
     table = [[0] * g.order for _ in range(g.order)]
     for a in range(g.order):
         for b in range(g.order):
             table[perm[a]][perm[b]] = perm[g.mult(a, b)]
-    return make_group(table)
+    return perm, make_group(table)
 
 
 def _session_groups_and_relabelings():
     for name, g in SESSION_GROUPS.items():
         yield name, g
         for seed in range(3):
-            yield f"{name}/relabel{seed}", _relabeled(g, seed)
+            yield f"{name}/relabel{seed}", _relabeling(g, seed)[1]
 
 
 def _same_values(got, want):
@@ -705,6 +706,26 @@ class TestCharacterTableOracle:
             assert calls["abelian_subgroups"] == 1 and calls["induced_character"] > 0
         else:
             assert not calls, dict(calls)
+
+    @pytest.mark.parametrize("name", sorted(SESSION_GROUPS))
+    def test_relabelings_give_the_same_table_from_few_candidates(self, name):
+        # the generating sequence tried up to 216 exponent maps on a relabeled
+        # C12, where 12 suffice; the table never depended on it
+        g = SESSION_GROUPS[name]
+        want = {tuple(map(repr, chi)) for chi in character_table(g)}
+        for seed in range(10, 40):
+            perm, h = _relabeling(g, seed)
+            got = {tuple(repr(chi[perm[a]]) for a in range(g.order))
+                   for chi in character_table(h)}
+            assert got == want, seed
+            if len(commutator_subgroup(h)) == 1:
+                gens = _generating_sequence(h)
+                candidates = 1
+                for a in gens:
+                    candidates *= h.element_order(a)
+                assert candidates == h.order, (seed, gens)
+                if h.exponent() == h.order:     # cyclic
+                    assert len(gens) == 1, (seed, gens)
 
     def test_class_induction_matches_the_element_sum(self):
         # every linear character of every abelian subgroup, induced class by
