@@ -273,7 +273,9 @@ def character_table(g: FiniteGroup):
 
     Candidates are taken until they number the conjugacy classes with
     degree square sum |G|: the table is then complete, and an abelian group
-    stops right after its linear characters.
+    stops right after its linear characters.  Raises ``ValueError`` for a
+    group with an irreducible character that no abelian subgroup induces
+    from a linear one (S_4 is one): it lies outside the method.
     """
     m = g.exponent()
     walk = _class_walk(g)
@@ -287,9 +289,11 @@ def character_table(g: FiniteGroup):
         if degree_square_sum == g.order and len(uniq) == n_classes:
             break
     if degree_square_sum != g.order or len(uniq) != n_classes:
-        raise AssertionError(
+        raise ValueError(
             f"character table incomplete: {len(uniq)} characters, "
-            f"degree square sum {degree_square_sum}, order {g.order}")
+            f"degree square sum {degree_square_sum}, order {g.order}: some "
+            "irreducible characters are not induced from linear characters "
+            "of abelian subgroups")
     out = []
     for chi in uniq:
         rationals = [v.as_rational() for v in chi]

@@ -305,9 +305,9 @@ def check(group_path, char_path):
 # kernel-vector check take 0.11-0.19 s and under 30 MB at n = 8, and 0.9-1.2 s
 # and 73-78 MB at n = 9 (Python 3.11.7, 2 cores)
 ONEVAR_MAX_WEIGHT = 8
-# strata --poset json takes about 1.2 s and 62 MB at n = 16 and 2.3 s and
-# 126 MB at n = 18; the type count grows about 1.5x per step (3186 types at
-# n = 16, 6959 at n = 18; Python 3.11.7, 2 cores)
+# strata --n 16 --ell 2 --poset json takes about 0.5 s and 53 MB, and the same
+# poset at n = 18 about 1.0 s and 103 MB; the type count grows about 1.5x per
+# step (3186 types at n = 16, 6959 at n = 18; Python 3.11.7, 2 cores)
 STRATA_MAX_N = 16
 
 

@@ -44,7 +44,7 @@ from operator import add, mul
 
 from .chident import character_column, class_size
 from .freetrace import TracePoly
-from .mpoly import EXPONENT_BOUND, MPoly, PolyMatrix, _overflow, determinant
+from .mpoly import EXPONENT_BOUND, MPoly, PolyMatrix, determinant
 from .sparse import add_terms
 
 
@@ -394,12 +394,15 @@ def _integral(p: TracePoly) -> TracePoly:
 def _refuse_long_terms(p: TracePoly) -> None:
     """Raise ``OverflowError`` if a term of p holds 2^15 or more occurrences
     of one variable: a stated bound of the identity check, not a limit of
-    its keys, with the message of ``mpoly``'s bound on exponents, which
-    ``evaluate`` would meet on the generic value of such a term."""
+    its keys, set at ``mpoly``'s bound on exponents, which ``evaluate``
+    would meet on the generic value of such a term."""
     for w, traces in p.terms:
-        if (len(w) + sum(map(len, traces)) >= EXPONENT_BOUND
-                and max(Counter(chain(w, *traces)).values()) >= EXPONENT_BOUND):
-            raise _overflow()
+        if len(w) + sum(map(len, traces)) >= EXPONENT_BOUND:
+            var, times = Counter(chain(w, *traces)).most_common(1)[0]
+            if times >= EXPONENT_BOUND:
+                raise OverflowError(
+                    f"a term holds x{var} {times} times; the identity check takes "
+                    f"terms with fewer than 2^15 = {EXPONENT_BOUND} occurrences of one variable")
 
 
 def _class_weights(p: TracePoly):

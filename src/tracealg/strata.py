@@ -47,7 +47,9 @@ class StratumType:
 
 
 def enumerate_types(n: int):
-    """All stratum types with the given n, in canonical order."""
+    """All stratum types with the given n, in canonical order: the walk picks
+    pairs in sorted order and no type is a proper prefix of another (each
+    sums to n), so it emits sorted pair tuples in lexicographic order."""
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -58,15 +60,15 @@ def enumerate_types(n: int):
 
     def rec(start, remaining, chosen):
         if remaining == 0:
-            out.append(StratumType.of(chosen))
+            out.append(StratumType(chosen))
             return
         for idx in range(start, len(pairs)):
             m, a = pairs[idx]
             if m * a <= remaining:
-                rec(idx, remaining - m * a, chosen + [(m, a)])
+                rec(idx, remaining - m * a, chosen + ((m, a),))
 
-    rec(0, n, [])
-    return sorted(out, key=lambda s: s.pairs)
+    rec(0, n, ())
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,23 @@ def closure_leq(lower: StratumType, upper: StratumType) -> bool:
     return search(0)
 
 
+def _moves(pairs: tuple, ell: int) -> dict:
+    """maximal_degenerations on sorted pairs, as {target pairs: codim}; blocks
+    of equal size, the only ones that merge, are neighbours in the pairs."""
+    found = {}
+    for i, (m, a) in enumerate(pairs):
+        rest = pairs[:i] + pairs[i + 1:]
+        for p in range(1, m // 2 + 1):
+            q = m - p
+            found[tuple(sorted(rest + ((p, a), (q, a))))] = (ell - 1) * 2 * p * q - 1
+        for j in range(i + 1, len(pairs)):
+            if pairs[j][0] != m:
+                break
+            merged = rest[:j - 1] + rest[j:] + ((m, a + pairs[j][1]),)
+            found[tuple(sorted(merged))] = (ell - 1) * m * m + 1
+    return found
+
+
 def maximal_degenerations(s: StratumType, ell: int):
     """One-step degenerations: split one block or merge two equal-size blocks.
 
@@ -165,22 +184,8 @@ def maximal_degenerations(s: StratumType, ell: int):
     """
     if ell <= 1:
         raise ValueError("degeneration codimensions require ell >= 2")
-    found = {}
-    pairs = list(s.pairs)
-    for idx, (m, a) in enumerate(pairs):
-        for p in range(1, m // 2 + 1):
-            q = m - p
-            new_type = StratumType.of(pairs[:idx] + pairs[idx + 1:] + [(p, a), (q, a)])
-            found[new_type] = (ell - 1) * 2 * p * q - 1
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if pairs[i][0] == pairs[j][0]:
-                m = pairs[i][0]
-                merged = (m, pairs[i][1] + pairs[j][1])
-                rest = [pairs[t] for t in range(len(pairs)) if t not in (i, j)]
-                new_type = StratumType.of(rest + [merged])
-                found[new_type] = (ell - 1) * m * m + 1
-    return sorted(found.items(), key=lambda kv: kv[0].pairs)
+    moves = _moves(tuple(sorted(s.pairs)), ell)   # a type built directly may be unsorted
+    return [(StratumType(t), codim) for t, codim in sorted(moves.items())]
 
 
 @dataclass
@@ -277,15 +282,15 @@ def stratification_poset(n: int, ell: int) -> StrataPoset:
     if n < 1 or ell < 2:
         raise ValueError("need n >= 1 and ell >= 2")
     nodes = enumerate_types(n)
-    covers = []
-    for s in nodes:
-        s_dim = stratum_dims(s, ell).stratum_dim
-        for t, _ in maximal_degenerations(s, ell):
-            drop = s_dim - stratum_dims(t, ell).stratum_dim
+    table = {s.pairs: (s, stratum_dims(s, ell).stratum_dim) for s in nodes}
+    covers = []   # built in (upper, lower) order: nodes and targets are sorted
+    for s, s_dim in table.values():
+        for t_pairs in sorted(_moves(s.pairs, ell)):
+            t, t_dim = table[t_pairs]
+            drop = s_dim - t_dim
             flagged = drop == 1
             if flagged and not (ell == 2 and _is_two_split(t, s)):
                 raise AssertionError(
                     f"unexpected codimension-1 covering {t} < {s} at ell={ell}")
             covers.append(CoverEdge(lower=t, upper=s, codim=drop, flagged=flagged))
-    covers.sort(key=lambda e: (e.upper.pairs, e.lower.pairs))
     return StrataPoset(n=n, ell=ell, nodes=nodes, covers=covers)

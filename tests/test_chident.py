@@ -460,6 +460,11 @@ class TestCharacterColumn:
             for j, psi in enumerate(rows):
                 assert inner_product(g, chi, psi) == (i == j)
 
+    def test_character_table_refuses_s4(self):
+        g, _ = _symmetric_group(4)
+        with pytest.raises(ValueError, match="not induced from linear characters"):
+            character_table(g)
+
     @pytest.mark.parametrize("m", range(1, 9))
     def test_degrees_and_column_orthogonality(self, m):
         """sum f_lambda^2 = m!, and the columns K, L are orthogonal with

@@ -181,6 +181,15 @@ class TestVerify:
         assert "error: --poly: too long for generic matrices" in result.stderr
         assert "2^15" in result.stderr
 
+    def test_the_refusal_names_the_variable_and_the_bound(self):
+        result, _ = run_cli_process(["verify", "--poly", "x^32768", "--size", "1"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: --poly: too long for generic matrices: a term holds x1 32768 "
+            "times; the identity check takes terms with fewer than 2^15 = 32768 "
+            "occurrences of one variable\n")
+
     def test_large_power_at_size_two_is_a_quick_counterexample(self, runner):
         # the all-generic evaluation of x^2000 ran out of memory here
         start = time.perf_counter()

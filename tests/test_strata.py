@@ -5,9 +5,9 @@ from functools import lru_cache
 
 import pytest
 
-from tracealg.strata import (StratumType, closure_leq, enumerate_types,
-                             maximal_degenerations, stratification_poset,
-                             stratum_dims)
+from tracealg.strata import (CoverEdge, StrataPoset, StratumType, _is_two_split,
+                             closure_leq, enumerate_types, maximal_degenerations,
+                             stratification_poset, stratum_dims)
 
 
 def T(*pairs):
@@ -234,3 +234,102 @@ class TestStratificationPoset:
         assert data["n"] == 2 and data["ell"] == 2
         assert len(data["nodes"]) == 3
         assert sum(1 for e in data["covers"] if e["codim1_exception"]) == 1
+
+
+# -- the build that re-sorted every type, kept as the oracle -----------------
+
+def reference_enumerate_types(n):
+    pairs = sorted((m, a) for m in range(1, n + 1) for a in range(1, n + 1)
+                   if m * a <= n)
+    out = []
+
+    def rec(start, remaining, chosen):
+        if remaining == 0:
+            out.append(StratumType.of(chosen))
+            return
+        for idx in range(start, len(pairs)):
+            m, a = pairs[idx]
+            if m * a <= remaining:
+                rec(idx, remaining - m * a, chosen + [(m, a)])
+
+    rec(0, n, [])
+    return sorted(out, key=lambda s: s.pairs)
+
+
+def reference_maximal_degenerations(s, ell):
+    found = {}
+    pairs = list(s.pairs)
+    for idx, (m, a) in enumerate(pairs):
+        for p in range(1, m // 2 + 1):
+            q = m - p
+            new_type = StratumType.of(pairs[:idx] + pairs[idx + 1:] + [(p, a), (q, a)])
+            found[new_type] = (ell - 1) * 2 * p * q - 1
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if pairs[i][0] == pairs[j][0]:
+                m = pairs[i][0]
+                merged = (m, pairs[i][1] + pairs[j][1])
+                rest = [pairs[t] for t in range(len(pairs)) if t not in (i, j)]
+                new_type = StratumType.of(rest + [merged])
+                found[new_type] = (ell - 1) * m * m + 1
+    return sorted(found.items(), key=lambda kv: kv[0].pairs)
+
+
+def reference_stratification_poset(n, ell):
+    nodes = reference_enumerate_types(n)
+    covers = []
+    for s in nodes:
+        s_dim = stratum_dims(s, ell).stratum_dim
+        for t, _ in reference_maximal_degenerations(s, ell):
+            drop = s_dim - stratum_dims(t, ell).stratum_dim
+            flagged = drop == 1
+            if flagged and not (ell == 2 and _is_two_split(t, s)):
+                raise AssertionError(
+                    f"unexpected codimension-1 covering {t} < {s} at ell={ell}")
+            covers.append(CoverEdge(lower=t, upper=s, codim=drop, flagged=flagged))
+    covers.sort(key=lambda e: (e.upper.pairs, e.lower.pairs))
+    return StrataPoset(n=n, ell=ell, nodes=nodes, covers=covers)
+
+
+def cover_rows(poset):
+    return [(e.lower, e.upper, e.codim, e.flagged) for e in poset.covers]
+
+
+class TestAgainstTheReferenceBuild:
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_the_poset_is_the_reference_poset(self, n, ell):
+        poset = stratification_poset(n, ell)
+        reference = reference_stratification_poset(n, ell)
+        assert [s.pairs for s in poset.nodes] == [s.pairs for s in reference.nodes]
+        assert cover_rows(poset) == cover_rows(reference)
+        assert poset.to_json() == reference.to_json()
+        assert poset.to_dot() == reference.to_dot()
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_the_moves_are_the_reference_moves(self, ell):
+        for n in range(1, 10):
+            for s in enumerate_types(n):
+                assert maximal_degenerations(s, ell) == \
+                    reference_maximal_degenerations(s, ell), s
+                # StratumType(pairs) does not sort, and a rotation can part
+                # blocks of equal size; the moves do not depend on the order
+                unsorted = StratumType(s.pairs[1:] + s.pairs[:1])
+                assert maximal_degenerations(unsorted, ell) == \
+                    reference_maximal_degenerations(unsorted, ell), s
+
+
+class TestCanonicalOrder:
+    """The facts that let the build skip re-sorting and re-checking types."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_types_come_sorted_and_canonical(self, n):
+        types = enumerate_types(n)
+        assert types == sorted(types, key=lambda s: s.pairs)
+        assert all(s == StratumType.of(s.pairs) for s in types)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_covers_come_in_upper_lower_order(self, n, ell):
+        covers = stratification_poset(n, ell).covers
+        assert covers == sorted(covers, key=lambda e: (e.upper.pairs, e.lower.pairs))
