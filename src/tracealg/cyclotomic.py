@@ -7,12 +7,14 @@ of roots of unity, so they lie in Z[zeta_m], and Phi_m is monic, so the
 reduction of an integral element stays integral; a Fraction appears only
 where a rational denominator enters (a division, a rational scalar).  Just
 enough ring structure for character values: add, multiply, compare, divide
-by rationals.
+by rationals.  ``residue_images`` maps a table of such values into Z/M by
+one ring homomorphism, for computations in plain ints.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .sparse import exact
 
@@ -189,3 +191,73 @@ class Cyc:
         if r is not None:
             return f"Cyc({r})"
         return f"Cyc(m={self.m}, {[Fraction(c) for c in self.coeffs]})"
+
+
+@lru_cache(maxsize=None)
+def _cofactor(m: int) -> tuple:
+    """Integer coefficients of Psi_m = (x^m - 1) / Phi_m, constant term first."""
+    return tuple(_exact_div([-1] + [0] * (m - 1) + [1], cyclotomic_polynomial(m)))
+
+
+def residue_images(values, degree: int, weight: int):
+    """The exact scalars ``values`` mapped into Z/M by one ring homomorphism,
+    with a multiplier that tests zero exactly.
+
+    ``values`` are ints, Fractions and Cyc elements of one modulus m; m is
+    taken as 1 when every value is rational.  Each value is lifted by its
+    power-basis coefficients to R = Z[1/D][x]/(x^m - 1), D the common
+    denominator of all the coefficients, and R is mapped to Z/M by x -> b,
+    with b = D 2^B and M = b^m - 1.  This is a ring homomorphism: x^m - 1
+    goes to M, and D is a unit, since M = -1 modulo every prime factor of D.
+
+    Returns ``(images, M, psi)`` with psi the image of Psi_m = (x^m - 1) /
+    Phi_m.  Let a be an integer polynomial of degree at most ``degree``
+    whose coefficients have absolute values summing to at most ``weight``,
+    L its value on the lifts, in R, and A its value on the images, in Z/M.
+    The lift is not multiplicative, but R -> Q(zeta_m) is a ring map, so a
+    on ``values`` is L modulo Phi_m: it is 0 exactly when L Psi_m = 0 in R.
+    With W = max(D, the L1 norm of D v over the values v), D^degree L has
+    integer coefficients of L1 norm at most weight W^degree, so
+    D^degree L Psi_m has integer digits below 2^(B-1) <= b/2 in absolute
+    value; B is chosen so.  A balanced base-b vector of m such digits maps
+    to 0 mod M only when it is 0, and D is a unit mod M, so a is 0 exactly
+    when A psi = 0 mod M.
+
+    When every value is an integral rational, the images are the values as
+    ints and M and psi are None: the caller computes in Z.  ``ValueError``
+    when Cyc values of two moduli meet, ``TypeError`` on a value that is not
+    an exact scalar.
+    """
+    # the common case, a rational table of integral values, in one pass
+    ints = [v.numerator for v in values
+            if isinstance(v, (int, Fraction)) and v.denominator == 1]
+    if len(ints) == len(values):
+        return ints, None, None
+    moduli, coeffs = set(), []
+    for v in values:
+        if isinstance(v, Cyc):
+            moduli.add(v.m)
+            coeffs.append(v.coeffs)
+        elif isinstance(v, (int, Fraction)):
+            coeffs.append((v,))
+        else:
+            raise TypeError(f"not an exact scalar: {v!r}")
+    if len(moduli) > 1:
+        raise ValueError("mixed cyclotomic moduli")
+    m = moduli.pop() if moduli else 1
+    if m > 1 and all(not any(cs[1:]) for cs in coeffs):
+        m, coeffs = 1, [cs[:1] for cs in coeffs]
+    # a coefficient may be an integral Fraction (sums skip the normalization),
+    # so each is read as numerator times D / denominator
+    d = lcm(*{c.denominator for cs in coeffs for c in cs})
+    if m == 1 and d == 1:
+        return [cs[0].numerator for cs in coeffs], None, None
+    scaled = [[c.numerator * (d // c.denominator) for c in cs] for cs in coeffs]
+    w = max(d, *(sum(map(abs, cs)) for cs in scaled))
+    psi = _cofactor(m)
+    base = d << (2 * sum(map(abs, psi)) * weight * w ** degree).bit_length()
+    modulus = base ** m - 1
+    d_inv = pow(d, -1, modulus)
+    powers = [base ** i for i in range(m)]
+    images = [sum(c * p for c, p in zip(cs, powers)) * d_inv % modulus for cs in scaled]
+    return images, modulus, sum(c * p for c, p in zip(psi, powers)) % modulus

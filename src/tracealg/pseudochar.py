@@ -22,7 +22,8 @@ The scan therefore fills T_k level by level, k = 1..n+1, each level in
 ``combinations_with_replacement`` order and keyed by an integer code of the
 multiset (``_level_trace_sums``): every level is needed in full, and one
 level is all the next one reads.  It is the only scan, and ``SCAN_MAX_WORK``
-bounds it before it fills any level.
+bounds it before it fills any level.  It runs on ints: Cyc and Fraction
+values are first mapped into Z/M (see ``check_pseudocharacter``).
 
 A table with t(ab) != t(ba) for some a, b fails axiom 2 and is not scanned.
 Its T_k is not symmetric, and a cycle product's value depends on the index
@@ -34,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .chident import permutation_cycles
+from .cyclotomic import residue_images
 from .findim import (TraceAlgebra, ch_degree, make_algebra, quotient_algebra,
                      trace_kernel)
-from .sparse import exact
 
 
 class GroupValidationError(ValueError):
@@ -205,9 +206,12 @@ def multilinear_trace_sum(group: FiniteGroup, values, elements) -> object:
     return total
 
 
-def _level_trace_sums(group: FiniteGroup, values, size: int):
+def _level_trace_sums(group: FiniteGroup, values, size: int, modulus=None):
     """Yield ``(rest, x, T_size(rest + (x,)))`` for every multiset of
     ``size`` elements, in ``combinations_with_replacement`` order.
+
+    The sums are taken in the ring of ``values``; with a ``modulus`` the
+    values are ints and every T_k is reduced modulo it once it is summed.
 
     ``values`` must be a class function.  The levels k = 1..size are filled
     in turn, each multiset written as ``rest + (x,)`` with x >= max(rest).
@@ -232,9 +236,9 @@ def _level_trace_sums(group: FiniteGroup, values, size: int):
             for x in range(rest[-1] if rest else 0, order):
                 value = values[x] * t_rest
                 for count, base, row in terms:
-                    child = memo[base + row[x]]
-                    # no multiplication by 1, which costs a full product on Cyc
-                    value -= child if count == 1 else count * child
+                    value -= count * memo[base + row[x]]
+                if modulus:
+                    value %= modulus
                 if top:
                     yield rest, x, value
                 else:
@@ -245,16 +249,18 @@ def _level_trace_sums(group: FiniteGroup, values, size: int):
 
 # A pass of the scan fills C(order + n + 1, n + 1) memo states, and each
 # costs time growing with n, so the scan is refused when that count times
-# n + 1 is above the bound.  Passes measured (Python 3.11.7, 2 cores):
+# n + 1 is above the bound.  Passes measured (Python 3.11.7, 2 cores); C12's
+# table is scanned on its images in Z/M, the others in Z (the Cyc values of
+# the C3 table are integral rationals):
 #
 #   table                               memo states   times n+1   time
-#   D6, sum of its characters, n = 8         293930     2645370   0.93-1.05 s
-#   C12, 8 linear characters (Cyc), n = 8    293930     2645370   5.8-6.9 s
-#   C3, 20 times the regular (Cyc), n = 60    41664     2541504   0.56-0.65 s
+#   D6, sum of its characters, n = 8         293930     2645370   0.51-0.61 s
+#   C12, 8 linear characters (Cyc), n = 8    293930     2645370   0.86-1.10 s
+#   C3, 20 times the regular (Cyc), n = 60    41664     2541504   0.16-0.22 s
 #   C1, n = 1500                               1502     2254502   0.04 s
 #
 # D6 at n = 9 (646646 states, 6466460) is refused, and so is C2 at n = 770
-# (298378 states, 230049438), where a pass takes 11.4 s.
+# (298378 states, 230049438), where a pass takes 6.5 s.
 SCAN_MAX_WORK = 3_000_000
 
 
@@ -271,6 +277,13 @@ def check_pseudocharacter(p: PseudoCharTable) -> PseudoCheckReport:
     scanned, so a pass has C(order + n + 1, n + 1).  The verdict, counts
     and witness are those of the permutation sum ``multilinear_trace_sum``,
     and ``exhaustive`` is always True.
+
+    The scan computes in plain ints: an integral rational table as it is,
+    any other through ``cyclotomic.residue_images``, which maps the values
+    into Z/M by one ring homomorphism and tests each T_{n+1}, a polynomial
+    of degree n+1 with (n+1)! terms of sign +-1, against 0 exactly.
+    ``ValueError`` when Cyc values of two moduli meet, before any level is
+    filled.
 
     Before any level is filled, the check raises ``ValueError`` naming the
     count when C(order + n + 1, n + 1) times n + 1 is above
@@ -306,11 +319,11 @@ def check_pseudocharacter(p: PseudoCharTable) -> PseudoCheckReport:
                 f"the degree-{n} scan over {g.order} elements would fill {states} memo "
                 f"states, and {states} x {n + 1} = {states * (n + 1)} is above the "
                 f"bound {SCAN_MAX_WORK}")
-        # integral values as int: the recursion's sums then avoid Fraction
-        values = [exact(v) if isinstance(v, (int, Fraction)) else v for v in values]
-        for rest, x, value in _level_trace_sums(g, values, n + 1):
+        images, modulus, psi = residue_images(values, n + 1, factorial(n + 1))
+        for rest, x, value in _level_trace_sums(g, images, n + 1, modulus):
             report.tuples_checked += 1
-            if value != 0:
+            # a zero residue is a zero T_{n+1}; any other is tested by psi
+            if value and (modulus is None or value * psi % modulus):
                 report.axiom3_ok = False
                 report.axiom3_witness = rest + (x,)
                 break

@@ -207,25 +207,31 @@ class StrataPoset:
     def flagged_edges(self):
         return [e for e in self.covers if e.flagged]
 
+    def _labels(self) -> dict:
+        """Each node's label, built once for its node and all its covers."""
+        return {s: s.label() for s in self.nodes}
+
     def to_dot(self) -> str:
+        labels = self._labels()
         lines = ["digraph strata {", "  rankdir=BT;"]
         for s in self.nodes:
             dims = stratum_dims(s, self.ell)
-            lines.append(f'  "{s.label()}" [label="{s.label()}\\ndim {dims.stratum_dim}"];')
+            lines.append(f'  "{labels[s]}" [label="{labels[s]}\\ndim {dims.stratum_dim}"];')
         for e in self.covers:
             style = ' [label="1", color=red, fontcolor=red]' if e.flagged \
                 else f' [label="{e.codim}"]'
-            lines.append(f'  "{e.lower.label()}" -> "{e.upper.label()}"{style};')
+            lines.append(f'  "{labels[e.lower]}" -> "{labels[e.upper]}"{style};')
         lines.append("}")
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        labels = self._labels()
         return json.dumps({
             "n": self.n,
             "ell": self.ell,
             "nodes": [
                 {
-                    "type": s.label(),
+                    "type": labels[s],
                     "pairs": list(list(p) for p in s.pairs),
                     "stratum_dim": d.stratum_dim,
                     "sheet_dim": d.sheet_dim,
@@ -235,7 +241,7 @@ class StrataPoset:
                 for d in [stratum_dims(s, self.ell)]
             ],
             "covers": [
-                {"lower": e.lower.label(), "upper": e.upper.label(),
+                {"lower": labels[e.lower], "upper": labels[e.upper],
                  "codim": e.codim, "codim1_exception": e.flagged}
                 for e in self.covers
             ],

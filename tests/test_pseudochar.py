@@ -18,7 +18,7 @@ from tracealg.characters import (_char_sort_key, _class_walk, _generating_sequen
                                  inner_product, linear_characters_abelian,
                                  quotient_group)
 from tracealg.chident import permutation_cycles
-from tracealg.cyclotomic import Cyc
+from tracealg.cyclotomic import Cyc, residue_images
 from tracealg.findim import ch_degree, quotient_algebra, trace_kernel
 from tracealg.pseudochar import (SCAN_MAX_WORK, FiniteGroup, GroupValidationError,
                                  PseudoCharTable, PseudoCheckReport,
@@ -336,9 +336,12 @@ def test_collected_permutation_sums_match_multilinear_trace_sum():
                 assert total == multilinear_trace_sum(group, values, elems), elems
 
 
-def _reference_report(p):
+def _reference_report(p, sums=_permutation_sums):
     """The scan as a plain permutation sum over every multiset in order; a
-    table that fails axiom 2 is not scanned."""
+    table that fails axiom 2 is not scanned.  ``sums(group, values, size)``
+    yields each multiset with its T_size, tested against 0 in the ring of
+    the values; ``memo_states`` counts the levels below the top, the empty
+    multiset included, and the top multisets scanned."""
     g, n, values = p.group, p.degree, p.values
     report = PseudoCheckReport(passed=False, degree=n, axiom1_ok=True,
                                axiom2_ok=True, axiom3_ok=True)
@@ -349,25 +352,31 @@ def _reference_report(p):
          if values[g.mult(a, b)] != values[g.mult(b, a)]), None)
     report.axiom2_ok = report.axiom2_witness is None
     if report.axiom2_ok:
-        for elems, total in _permutation_sums(g, values, n + 1):
+        for elems, total in sums(g, values, n + 1):
             report.tuples_checked += 1
             if total != 0:
                 report.axiom3_ok, report.axiom3_witness = False, elems
                 break
+        report.memo_states = comb(g.order + n, n) + report.tuples_checked
     report.passed = report.axiom1_ok and report.axiom2_ok and report.axiom3_ok
     return report
 
 
+def _ring_sums(group, values, size):
+    """``_level_trace_sums`` on the values as given, Cyc or Fraction."""
+    for rest, x, value in _level_trace_sums(group, values, size):
+        yield rest + (x,), value
+
+
 def _characters_and_perturbations(group):
-    """Every character, then every single-value perturbation of the rational ones."""
+    """Every character, then each of its single-value perturbations by 1."""
     for chi in character_table(group):
         n = char_degree(group, chi)
         yield PseudoCharTable(group, n, tuple(chi))
-        if all(isinstance(v, Fraction) for v in chi):
-            for k in range(group.order):
-                values = list(chi)
-                values[k] += 1
-                yield PseudoCharTable(group, n, tuple(values))
+        for k in range(group.order):
+            values = list(chi)
+            values[k] += 1
+            yield PseudoCharTable(group, n, tuple(values))
 
 
 def _class_functions_up_to_degree_4(group):
@@ -389,7 +398,7 @@ class TestRecursiveScan:
             for p in chain(_characters_and_perturbations(group),
                            _class_functions_up_to_degree_4(group)):
                 report = check_pseudocharacter(p)
-                assert replace(report, memo_states=0) == _reference_report(p), (name, p.values)
+                assert report == _reference_report(p), (name, p.values)
                 if not report.axiom2_ok:  # not scanned
                     assert report.tuples_checked == report.memo_states == 0, (name, p.values)
                     continue
@@ -438,6 +447,150 @@ class TestRecursiveScan:
         assert report.passed and report.memo_states == 1502
         report = check_pseudocharacter(PseudoCharTable(c1, 1500, (1501,)))
         assert not report.axiom1_ok and report.axiom3_witness == (0,) * 1501
+
+
+# -- the scan in Z/M against the scan in the ring of the values ----------------
+
+DIFFERENTIAL_GROUPS = dict(
+    ORACLE_GROUPS, C6=cyclic_group(6), D5=dihedral_group(5), C12=cyclic_group(12),
+    C4xC2=direct_product(cyclic_group(4), cyclic_group(2)))
+
+
+@lru_cache(maxsize=None)
+def _differential_rows(name):
+    return tuple(character_table(DIFFERENTIAL_GROUPS[name]))
+
+
+@st.composite
+def combinations_of_characters(draw):
+    """A table on one of ``DIFFERENTIAL_GROUPS``: an integer combination of
+    its characters divided by 1, 2, 3, 5 or 6, perhaps with one value
+    shifted by zeta (a root of unity of the group's exponent) or by 1/2, and
+    a degree 0..3, t(1) when that is one of them and the draw asks for it."""
+    name = draw(st.sampled_from(sorted(DIFFERENTIAL_GROUPS)))
+    g, rows = DIFFERENTIAL_GROUPS[name], _differential_rows(name)
+    coeffs = draw(st.lists(st.sampled_from((0, 0, 0, 1, 1, 2, -1)),
+                           min_size=len(rows), max_size=len(rows)))
+    q = draw(st.sampled_from((1, 2, 3, 5, 6)))
+    values = [sum((c * row[e] for c, row in zip(coeffs, rows)), Fraction(0)) / q
+              for e in range(g.order)]
+    shift = draw(st.sampled_from((None, "zeta", "half")))
+    if shift is not None:
+        k = draw(st.integers(0, g.order - 1))
+        values[k] += Cyc.root(g.exponent()) if shift == "zeta" else Fraction(1, 2)
+    n = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        n = next((k for k in range(4) if values[g.identity] == k), n)
+    return PseudoCharTable(g, n, tuple(values))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(combinations_of_characters())
+def test_the_scan_in_z_mod_m_matches_the_ring_scan(p):
+    """The whole report, counts and least witness included, is the one that
+    the level walk gives on the Cyc or Fraction values themselves, each top
+    value tested against 0, and the one the permutation sum gives."""
+    report = check_pseudocharacter(p)
+    assert report == _reference_report(p, _ring_sums), p.values
+    assert report == _reference_report(p), p.values
+
+
+def test_an_integral_fraction_coefficient_reads_as_its_numerator():
+    """A sum of halves leaves integral Fraction coefficients in a Cyc; they
+    map like the ints they equal."""
+    c4 = cyclic_group(4)
+    z = Cyc.root(4)
+    chi = (1, z, -1, -z)
+    whole = z / 2 + z / 2
+    assert whole == z and type(whole.coeffs[1]) is Fraction
+    for n in (1, 2):
+        p = PseudoCharTable(c4, n, chi)
+        halves = PseudoCharTable(c4, n, (1, whole, -1, -z))
+        assert check_pseudocharacter(halves) == check_pseudocharacter(p) == \
+            _reference_report(p)
+    assert residue_images(halves.values, 3, 6) == residue_images(chi, 3, 6)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_mixed_moduli_are_refused_before_any_level(monkeypatch, n):
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(pseudochar, "_level_trace_sums", no_scan)
+    z = Cyc.root(4)
+    p = PseudoCharTable(cyclic_group(4), n, (Cyc.rational(3, n), z, -1, -z))
+    with pytest.raises(ValueError, match="^mixed cyclotomic moduli$"):
+        check_pseudocharacter(p)
+
+
+def test_the_scan_runs_no_cyc_or_fraction_arithmetic(monkeypatch):
+    """During a check, the level walk multiplies, adds and subtracts ints
+    only: no Cyc or Fraction operator runs, on Cyc-valued characters and on
+    their rational multiples alike."""
+    calls = Counter()
+
+    def counted(cls, name):
+        op = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[cls.__name__, name] += 1
+            return op(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    tables = []
+    for name in ("C12", "D5", "C4xC2"):
+        g = DIFFERENTIAL_GROUPS[name]
+        for chi in _differential_rows(name):
+            n = char_degree(g, chi)
+            tables += [PseudoCharTable(g, n, tuple(chi)),
+                       PseudoCharTable(g, 2 * n, tuple(v / 2 for v in chi)),
+                       PseudoCharTable(g, n, chi[:1] + tuple(v + 1 for v in chi[1:]))]
+    for cls in (Cyc, Fraction):
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+            counted(cls, name)
+    reports = [check_pseudocharacter(p) for p in tables]
+    assert not calls, calls
+    assert sum(r.passed for r in reports) == len(tables) // 3
+    # the wrappers see the ring scan's products
+    p = next(p for p in tables if any(isinstance(v, Cyc) for v in p.values))
+    list(_level_trace_sums(p.group, p.values, 2))
+    assert calls["Cyc", "__mul__"] > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from((3, 4, 5, 12)), st.lists(st.lists(scalars, max_size=8), min_size=2,
+                                                 max_size=4), scalars)
+def test_residue_images_test_zero_on_polynomials_in_the_values(m, coefficient_lists, r):
+    """The lift of a value by its power-basis coefficients is not
+    multiplicative, but the zero test is exact on every integer polynomial
+    in the values within the declared degree and weight: sums and products
+    of images are the images of the sums and products up to what psi
+    kills, and nothing else is killed."""
+    xs = [Cyc(m, cs) for cs in coefficient_lists]
+    a, b = xs[0], xs[1]
+    values = xs + [a * b, a + b, a * r, r]
+    images, modulus, psi = residue_images(values, 3, 4)
+    if modulus is None:  # every value an integral rational: exact in Z
+        modulus, psi = 0, 1
+    ia, ib, iab, isum, iar, ir = images[0], images[1], *images[-4:]
+
+    def zero(image):
+        return image * psi % modulus == 0 if modulus else image == 0
+
+    assert zero(ia * ib - iab) and zero(ia + ib - isum) and zero(ia * ir - iar)
+    for value, image in zip(xs, images):  # degree 1, weight 1
+        assert zero(image) == (value == 0)
+    assert zero(ia * ib * ia - ia * ia * ib)
+    assert zero(ia * ib * ib - ia * ia * ib) == (a * b * (b - a) == 0)
+
+
+def test_rational_integral_values_take_the_plain_int_path():
+    images, modulus, psi = residue_images(
+        (3, Fraction(4), Fraction(-2, 1), Cyc.rational(5, 7)), 6, 720)
+    assert images == [3, 4, -2, 7] and all(type(v) is int for v in images)
+    assert (modulus, psi) == (None, None)
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        residue_images((1, 0.5), 2, 2)
 
 
 class TestPseudocharKernel:
